@@ -68,7 +68,7 @@ func TestReportSubcommand(t *testing.T) {
 	for _, want := range []string{
 		"Run report: fibonacci (local)",
 		"Verdict: SAFE",
-		"Partition imbalance (" ,
+		"Partition imbalance (",
 		"Span tree:",
 		"0 orphans",
 		"Slowest spans:",

@@ -258,6 +258,9 @@ type certVerifier struct {
 	// a sub-cube's extra assumptions are reconstructed here rather than
 	// trusted from the wire.
 	splitLits []cnf.Lit
+	// checker is the formula prepared once for RUP checking; every
+	// job's proofs are checked against it.
+	checker *sat.RUPChecker
 }
 
 // newCertVerifier encodes the program exactly as workers are instructed
@@ -277,11 +280,13 @@ func newCertVerifier(p *prog.Program, opts CoordinatorOptions) (*certVerifier, e
 	if err != nil {
 		return nil, fmt.Errorf("distrib: certification partitioning failed: %w", err)
 	}
+	f := enc.Formula()
 	return &certVerifier{
 		enc:       enc,
-		formula:   enc.Formula(),
+		formula:   f,
 		parts:     parts,
 		splitLits: partition.SplitLits(enc, total),
+		checker:   sat.NewRUPChecker(f),
 	}, nil
 }
 
@@ -390,7 +395,7 @@ func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) error 
 		if err != nil {
 			return fmt.Errorf("cube %s: %v", cube.Key(), err)
 		}
-		if err := sat.CheckRUP(v.formula, assumps, proof); err != nil {
+		if err := v.checker.Check(assumps, proof); err != nil {
 			return fmt.Errorf("partition %d (cube %s): %v", idx, cube.Key(), err)
 		}
 	}

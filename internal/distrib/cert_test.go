@@ -10,6 +10,7 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/internal/sat"
 	"repro/prog"
 )
@@ -464,5 +465,50 @@ func TestRunJobRecoversPanic(t *testing.T) {
 	}
 	if cert != nil {
 		t.Fatal("panicked job produced a certificate")
+	}
+}
+
+// A lemma over a variable the coordinator's encoding does not have is a
+// rejected certificate, not a coordinator panic: verifySafe runs on the
+// worker's connection goroutine with no recover.
+func TestByzantineOutOfRangeLemmaRejected(t *testing.T) {
+	v, err := newCertVerifier(prog.MustParse(fibSrc), CoordinatorOptions{Unwind: 1, Contexts: 3, Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sat.NewFromFormula(v.formula, sat.Options{})
+	s.EnableProof()
+	if st, err := s.Solve(v.parts[0].Assumptions...); err != nil || st != sat.Unsat {
+		t.Fatalf("partition 0: %v %v, want UNSAT", st, err)
+	}
+	honest := s.ProofLog().Lemmas
+	cube := partition.Cube{From: 0, To: 0}
+	certify := func(lemmas []cnf.Clause) error {
+		return v.verifySafe(cube, &Certificate{Proofs: []PartitionProof{{Partition: 0, Proof: &sat.Proof{Lemmas: lemmas}}}})
+	}
+	if err := certify(honest); err != nil {
+		t.Fatalf("honest proof rejected: %v", err)
+	}
+	nv := v.formula.NumVars
+	for name, bad := range map[string]cnf.Clause{
+		"negative":     {cnf.Lit(-3)},
+		"variable 0":   {cnf.Lit(1)},
+		"beyond range": {cnf.PosLit(cnf.Var(nv + 50))},
+	} {
+		for _, lemmas := range [][]cnf.Clause{
+			{bad},
+			append(append([]cnf.Clause(nil), honest...), bad),
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s lemma: coordinator panicked: %v", name, r)
+					}
+				}()
+				if err := certify(lemmas); err == nil {
+					t.Fatalf("%s lemma accepted", name)
+				}
+			}()
+		}
 	}
 }

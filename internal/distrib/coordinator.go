@@ -108,6 +108,11 @@ type CoordinatorOptions struct {
 	// aggregated remote solver counters, for scraping via /metrics
 	// during the run. Nil disables instrumentation at no cost.
 	Metrics *obs.Registry
+	// Ready, when non-nil, is called once Metrics holds this run's
+	// primed gauges (chunks total, zero active workers): before the
+	// certification encoding, the journal replay and any worker is
+	// served. A /metrics scrape after Ready reflects this run.
+	Ready func()
 	// Health, when non-nil, is the worker-health registry to record
 	// into; cmd/coordinator shares one instance with its /healthz
 	// endpoint. Nil: Coordinate creates a private one.
@@ -295,6 +300,15 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	chunks := partition.Chunks(opts.Partitions, opts.ChunkSize)
 	source := prog.Format(p)
 
+	// Prime the gauges before the slow setup below, so a scrape sees
+	// this run from the start; chunks_total is corrected once the
+	// journal's splits are replayed.
+	metrics := newCoordMetrics(opts.Metrics)
+	metrics.chunksTotal.Set(int64(len(chunks)))
+	if opts.Ready != nil {
+		opts.Ready()
+	}
+
 	// With certification on, the coordinator builds its own encoding of
 	// the program up front — the root of trust every remote certificate
 	// is checked against. The cost is one encode, paid once per run.
@@ -453,7 +467,7 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		done:     make(chan struct{}),
 		tracker:  newChunkTracker(opts.MaxAttempts),
 		health:   health,
-		metrics:  newCoordMetrics(opts.Metrics),
+		metrics:  metrics,
 		jnl:      jnl,
 		repl:     repl,
 		verifier: verifier,

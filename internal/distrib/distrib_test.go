@@ -78,13 +78,22 @@ func startCoordinator(t *testing.T, p *prog.Program, opts CoordinatorOptions) (s
 		t.Fatal(err)
 	}
 	ch := make(chan *CoordinatorResult, 1)
+	ready, done := make(chan struct{}), make(chan struct{})
+	opts.Ready = func() { close(ready) }
 	go func() {
+		defer close(done)
 		res, err := Coordinate(context.Background(), ln, p, opts)
 		if err != nil {
 			t.Errorf("coordinator: %v", err)
 		}
 		ch <- res
 	}()
+	// Return once the coordinator's gauges are primed (or it failed
+	// before priming them), so callers may scrape straight away.
+	select {
+	case <-ready:
+	case <-done:
+	}
 	return ln.Addr().String(), ch
 }
 

@@ -177,7 +177,11 @@ func solveAdaptive(ctx context.Context, f *cnf.Formula, parts []partition.Partit
 		journalErr error
 		panicErr   error
 		certFailed bool
+		checker    *sat.RUPChecker // one prepared checker serves every cube's proof
 	)
+	if opts.CertifyUnsat {
+		checker = sat.NewRUPChecker(f)
+	}
 	solveCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	interruptAll := func(mem bool) {
@@ -371,7 +375,7 @@ func solveAdaptive(ctx context.Context, f *cnf.Formula, parts []partition.Partit
 			cause = sat.CauseConflictBudget
 		}
 		if status == sat.Unsat && opts.CertifyUnsat {
-			if cerr := sat.CheckRUP(f, assume, solver.ProofLog()); cerr != nil {
+			if cerr := checker.Check(assume, solver.ProofLog()); cerr != nil {
 				mu.Lock()
 				certFailed = true
 				mu.Unlock()

@@ -413,6 +413,11 @@ func Solve(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opt
 		}()
 	}
 
+	// One prepared checker serves every partition's proof.
+	var checker *sat.RUPChecker
+	if opts.CertifyUnsat {
+		checker = sat.NewRUPChecker(f)
+	}
 	for _, pt := range todo {
 		pt := pt
 		wg.Add(1)
@@ -505,7 +510,7 @@ func Solve(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opt
 				cause = sat.CauseConflictBudget
 			}
 			if status == sat.Unsat && opts.CertifyUnsat {
-				if cerr := sat.CheckRUP(f, pt.Assumptions, solver.ProofLog()); cerr != nil {
+				if cerr := checker.Check(pt.Assumptions, solver.ProofLog()); cerr != nil {
 					mu.Lock()
 					certFailed = true
 					mu.Unlock()

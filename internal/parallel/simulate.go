@@ -43,6 +43,10 @@ func Simulate(ctx context.Context, f *cnf.Formula, parts []partition.Partition, 
 	var winnerModel []bool
 	committed := committedRecords(opts.Journal)
 	anyUnknown := false
+	var checker *sat.RUPChecker
+	if opts.CertifyUnsat {
+		checker = sat.NewRUPChecker(f)
+	}
 
 	for i, pt := range parts {
 		if err := ctx.Err(); err != nil {
@@ -107,7 +111,7 @@ func Simulate(ctx context.Context, f *cnf.Formula, parts []partition.Partition, 
 		if status == sat.Unsat && opts.CertifyUnsat {
 			// Checked outside the timed window: a real deployment would
 			// certify offline.
-			if cerr := sat.CheckRUP(f, pt.Assumptions, solver.ProofLog()); cerr != nil {
+			if cerr := checker.Check(pt.Assumptions, solver.ProofLog()); cerr != nil {
 				return nil, fmt.Errorf("parallel: partition %d refutation proof failed: %w", pt.Index, cerr)
 			}
 		}

@@ -80,11 +80,18 @@ func Sample(ctx context.Context, fp *flatten.Program, opts Options) (*Result, er
 
 	for wk := 0; wk < opts.Workers; wk++ {
 		wk := wk
+		// Each worker owns a fixed share of the budget, so whether the
+		// run finds a violation does not depend on how the workers'
+		// goroutines happen to be scheduled against each other.
+		share := opts.MaxExecutions / int64(opts.Workers)
+		if int64(wk) < opts.MaxExecutions%int64(opts.Workers) {
+			share++
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(opts.Seed + int64(wk)*7919 + 1))
-			for {
+			for n := int64(0); n < share; n++ {
 				select {
 				case <-done:
 					return
@@ -92,9 +99,7 @@ func Sample(ctx context.Context, fp *flatten.Program, opts Options) (*Result, er
 					return
 				default:
 				}
-				if executions.Add(1) > opts.MaxExecutions {
-					return
-				}
+				executions.Add(1)
 				viol, schedule, pruned := runRandomSchedule(fp, opts, rng)
 				if pruned {
 					infeasible.Add(1)
@@ -115,9 +120,6 @@ func Sample(ctx context.Context, fp *flatten.Program, opts Options) (*Result, er
 	}
 	wg.Wait()
 	res.Executions = executions.Load()
-	if res.Executions > opts.MaxExecutions {
-		res.Executions = opts.MaxExecutions
-	}
 	res.Infeasible = infeasible.Load()
 	res.Wall = time.Since(start)
 	return res, nil

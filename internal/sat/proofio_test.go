@@ -46,10 +46,10 @@ func TestDRATRoundTrip(t *testing.T) {
 
 func TestDRATParseRejectsGarbage(t *testing.T) {
 	for _, in := range []string{
-		"1 2 3\n",    // missing terminator
-		"1 x 0\n",    // non-integer literal
-		"1 0 2 0\n",  // literals after the terminator
-		"0 trail\n",  // ditto, non-numeric
+		"1 2 3\n",   // missing terminator
+		"1 x 0\n",   // non-integer literal
+		"1 0 2 0\n", // literals after the terminator
+		"0 trail\n", // ditto, non-numeric
 	} {
 		if _, err := ParseDRAT(strings.NewReader(in)); err == nil {
 			t.Fatalf("ParseDRAT(%q) accepted", in)
