@@ -651,16 +651,14 @@ func MakePartitions(enc *vc.Encoded, opts Options) (parts []partition.Partition,
 		parts = parts[opts.From:opts.To]
 	}
 	if opts.CubePath != "" {
-		extra, perr := partition.PathAssumptions(opts.CubePath, partition.SplitLits(enc, total))
-		if perr != nil {
-			return nil, 0, fmt.Errorf("core: %w", perr)
-		}
+		lits := partition.SplitLits(enc, total)
 		refined := make([]partition.Partition, len(parts))
 		for i, pt := range parts {
-			refined[i] = partition.Partition{
-				Index:       pt.Index,
-				Assumptions: append(append([]cnf.Lit{}, pt.Assumptions...), extra...),
+			assume, perr := partition.CubeAssumptions(pt.Assumptions, opts.CubePath, lits)
+			if perr != nil {
+				return nil, 0, fmt.Errorf("core: %w", perr)
 			}
+			refined[i] = partition.Partition{Index: pt.Index, Assumptions: assume}
 		}
 		parts = refined
 	}

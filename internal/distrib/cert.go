@@ -263,9 +263,9 @@ type certVerifier struct {
 	checker *sat.RUPChecker
 }
 
-// newCertVerifier encodes the program exactly as workers are instructed
+// workerEncoding encodes the program exactly as workers are instructed
 // to (same bounds, same total partition count, no preprocessing).
-func newCertVerifier(p *prog.Program, opts CoordinatorOptions) (*certVerifier, error) {
+func workerEncoding(p *prog.Program, opts CoordinatorOptions) (*vc.Encoded, []partition.Partition, int, error) {
 	copts := core.Options{
 		Unwind:     opts.Unwind,
 		Contexts:   opts.Contexts,
@@ -274,11 +274,20 @@ func newCertVerifier(p *prog.Program, opts CoordinatorOptions) (*certVerifier, e
 	}
 	enc, _, _, err := core.EncodeProgram(p, copts)
 	if err != nil {
-		return nil, fmt.Errorf("distrib: certification encoding failed: %w", err)
+		return nil, nil, 0, fmt.Errorf("distrib: coordinator encoding failed: %w", err)
 	}
 	parts, total, err := core.MakePartitions(enc, copts)
 	if err != nil {
-		return nil, fmt.Errorf("distrib: certification partitioning failed: %w", err)
+		return nil, nil, 0, fmt.Errorf("distrib: coordinator partitioning failed: %w", err)
+	}
+	return enc, parts, total, nil
+}
+
+// newCertVerifier builds the verifier over the workers' encoding.
+func newCertVerifier(p *prog.Program, opts CoordinatorOptions) (*certVerifier, error) {
+	enc, parts, total, err := workerEncoding(p, opts)
+	if err != nil {
+		return nil, err
 	}
 	f := enc.Formula()
 	return &certVerifier{
@@ -288,21 +297,6 @@ func newCertVerifier(p *prog.Program, opts CoordinatorOptions) (*certVerifier, e
 		splitLits: partition.SplitLits(enc, total),
 		checker:   sat.NewRUPChecker(f),
 	}, nil
-}
-
-// cubeAssumptions returns the partition's assumptions extended with the
-// cube path's scheduler-bit literals — the exact assumption set a worker
-// solving that sub-cube was instructed to use.
-func (v *certVerifier) cubeAssumptions(idx int, path string) ([]cnf.Lit, error) {
-	base := v.parts[idx].Assumptions
-	if path == "" {
-		return base, nil
-	}
-	extra, err := partition.PathAssumptions(path, v.splitLits)
-	if err != nil {
-		return nil, err
-	}
-	return append(append([]cnf.Lit{}, base...), extra...), nil
 }
 
 // litHolds evaluates a literal under the solver-convention model
@@ -345,7 +339,7 @@ func (v *certVerifier) verifyUnsafe(cube partition.Cube, winner int, cert *Certi
 			return fmt.Errorf("claimed model falsifies clause %d of the coordinator's encoding", i)
 		}
 	}
-	assumps, err := v.cubeAssumptions(winner, cube.Path)
+	assumps, err := partition.CubeAssumptions(v.parts[winner].Assumptions, cube.Path, v.splitLits)
 	if err != nil {
 		return fmt.Errorf("cube %s: %v", cube.Key(), err)
 	}
@@ -391,7 +385,7 @@ func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) error 
 		if proof == nil {
 			return fmt.Errorf("no refutation proof for partition %d", idx)
 		}
-		assumps, err := v.cubeAssumptions(idx, cube.Path)
+		assumps, err := partition.CubeAssumptions(v.parts[idx].Assumptions, cube.Path, v.splitLits)
 		if err != nil {
 			return fmt.Errorf("cube %s: %v", cube.Key(), err)
 		}

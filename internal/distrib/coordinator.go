@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cubetree"
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/partition"
@@ -229,25 +230,28 @@ type ChunkExhausted struct {
 	Cause string // "timeout" | "conflict-budget" | "memory"
 }
 
+// assignment is one cube dispatched to one worker connection; its ID is
+// the job ID.
+type assignment = cubetree.Assignment[*conn]
+
 // coordinator is the shared state of one Coordinate call.
 type coordinator struct {
 	opts   CoordinatorOptions
 	source string
 
-	mu        sync.Mutex
-	remaining int // cubes neither refuted nor quarantined
-	active    int // connected workers past hello
-	finished  bool
-	killed    bool // fault plan halted the primary mid-run
-	drain     *time.Timer
-	res       *CoordinatorResult
-	jerr      error // first journal commit failure: fails the whole run
-	conns     map[*conn]struct{}
+	mu       sync.Mutex
+	active   int // connected workers past hello
+	finished bool
+	killed   bool // fault plan halted the primary mid-run
+	drain    *time.Timer
+	res      *CoordinatorResult
+	jerr     error // first journal commit failure: fails the whole run
+	conns    map[*conn]struct{}
 
 	sealed   bool                      // journal sealed: degrade, stop committing
 	pressure map[string]workerPressure // per-worker heartbeat memory readings
 
-	sched    *scheduler
+	tree     *cubetree.Tree[*conn]
 	done     chan struct{}
 	tracker  *chunkTracker
 	health   *HealthRegistry
@@ -293,9 +297,6 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	if opts.MemPauseRatio == 0 {
 		opts.MemPauseRatio = 0.95
 	}
-	if (opts.SplitDepth > 0 || opts.Hedge) && opts.SplitGrace == 0 {
-		opts.SplitGrace = 15 * time.Second
-	}
 	opts.Certify = opts.Certify.normalize()
 	chunks := partition.Chunks(opts.Partitions, opts.ChunkSize)
 	source := prog.Format(p)
@@ -330,17 +331,9 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		if verifier != nil {
 			splitBits = len(verifier.splitLits)
 		} else {
-			copts := core.Options{
-				Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width,
-				Partitions: opts.Partitions,
-			}
-			enc, _, _, eerr := core.EncodeProgram(p, copts)
-			if eerr != nil {
-				return nil, fmt.Errorf("distrib: split-bit encoding failed: %w", eerr)
-			}
-			_, total, perr := core.MakePartitions(enc, copts)
-			if perr != nil {
-				return nil, fmt.Errorf("distrib: split-bit partitioning failed: %w", perr)
+			enc, _, total, err := workerEncoding(p, opts)
+			if err != nil {
+				return nil, err
 			}
 			splitBits = len(partition.SplitLits(enc, total))
 		}
@@ -385,55 +378,11 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	}
 
 	// Replay the journal into the cube tree before anything is queued.
-	// Records apply in commit order against the evolving leaf set: a
-	// SPLIT record replaces its cube with its two children (the journal
-	// commits SPLIT strictly before either child can produce a record,
-	// so children always find their slots), a verdict attaches to a live
-	// leaf, and anything else — a verdict for a cube that was split or
-	// already decided — is stale by construction and ignored.
-	type cubeLeaf struct {
-		cube partition.Cube
-		rec  *journal.ChunkRecord
-		dead bool // superseded by its children
+	roots := make([]partition.Cube, len(chunks))
+	for i, ch := range chunks {
+		roots[i] = partition.CubeOf(ch)
 	}
-	var leaves []*cubeLeaf
-	leafIndex := map[partition.Cube]*cubeLeaf{}
-	addLeaf := func(c partition.Cube) *cubeLeaf {
-		l := &cubeLeaf{cube: c}
-		leaves = append(leaves, l)
-		leafIndex[c] = l
-		return l
-	}
-	for _, ch := range chunks {
-		addLeaf(partition.CubeOf(ch))
-	}
-	resumedSplits, resumedDepth := 0, 0
-	for i := range history {
-		rec := history[i]
-		cube := partition.Cube{From: rec.From, To: rec.To, Path: rec.Path}
-		l := leafIndex[cube]
-		if l == nil || l.dead || l.rec != nil {
-			continue
-		}
-		if rec.Split() {
-			l.dead = true
-			left, right := cube.Split()
-			addLeaf(left)
-			addLeaf(right)
-			resumedSplits++
-			if d := left.Depth(); d > resumedDepth {
-				resumedDepth = d
-			}
-			continue
-		}
-		l.rec = &history[i]
-	}
-	live := leaves[:0:0]
-	for _, l := range leaves {
-		if !l.dead {
-			live = append(live, l)
-		}
-	}
+	replayed := cubetree.Replay(roots, history)
 
 	health := opts.Health
 	if health == nil {
@@ -454,16 +403,21 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		obs.KV("epoch", opts.Epoch))
 	start := time.Now()
 	co := &coordinator{
-		opts:      opts,
-		source:    source,
-		remaining: len(live),
+		opts:   opts,
+		source: source,
 		res: &CoordinatorResult{
-			Verdict: core.Safe, Winner: -1, ChunksTotal: len(live),
-			Splits: resumedSplits, MaxCubeDepth: resumedDepth,
+			Verdict: core.Safe, Winner: -1, ChunksTotal: len(replayed.Leaves),
+			Splits: replayed.Splits, MaxCubeDepth: replayed.MaxDepth,
 		},
 		pressure: make(map[string]workerPressure),
 		conns:    make(map[*conn]struct{}),
-		sched:    newScheduler(opts, splitBits),
+		tree: cubetree.New(cubetree.Config{
+			SplitDepth: opts.SplitDepth, SplitBits: splitBits,
+			SplitGrace: opts.SplitGrace, SplitHardness: opts.SplitHardness,
+			Hedge: opts.Hedge,
+		}, func(a *cubetree.Assignment[*conn]) {
+			_ = a.Handle.send(&Message{Type: "cancel", JobID: a.ID})
+		}),
 		done:     make(chan struct{}),
 		tracker:  newChunkTracker(opts.MaxAttempts),
 		health:   health,
@@ -477,33 +431,16 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	// Journal commit spans hang off the coordinate root so the merged
 	// trace tree stays single-rooted.
 	jnl.SetParent(root)
-	co.metrics.chunksTotal.Set(int64(len(live)))
-	co.metrics.cubeDepth.Set(int64(resumedDepth))
+	co.metrics.chunksTotal.Set(int64(len(replayed.Leaves)))
+	co.metrics.cubeDepth.Set(int64(replayed.MaxDepth))
 
 	// Fold replayed verdicts into the run; only undecided leaves are
 	// queued for workers. In-flight cubes were never committed, so a
 	// crash can lose work but never claim work it lost.
-	for _, l := range live {
-		rec := l.rec
-		if rec == nil {
-			co.sched.push(l.cube)
-			continue
-		}
-		// A budget-exhausted verdict is terminal only relative to the
-		// budgets pinned on its record: a resume that lifted or raised
-		// the exhausted budget re-queues the cube for workers instead of
-		// replaying a give-up the new flags were meant to overcome.
-		if rec.RetryUnder(opts.ChunkTimeout.Milliseconds(), opts.ChunkConflicts, opts.MemBudgetMB) {
-			co.sched.push(l.cube)
-			continue
-		}
-		// A certified run replays only certified definite verdicts. An
-		// uncertified record (journaled by a run with -certify=off, or a
-		// SAFE cube whose proof was sampled out) was never checked
-		// against this coordinator's encoding, so it is re-solved rather
-		// than trusted into a certified history.
-		if verifier != nil && rec.Verdict != core.Unknown.String() && !rec.Certified {
-			co.sched.push(l.cube)
+	for _, l := range replayed.Leaves {
+		rec := l.Record
+		if !co.replays(rec) {
+			co.tree.Enqueue(l.Cube)
 			continue
 		}
 		co.res.Resumed++
@@ -513,19 +450,17 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 			co.res.Verdict = core.Unsafe
 			co.res.Winner = rec.Winner
 			co.res.ChunksDecided++
-			co.remaining--
 		case core.Safe.String():
 			co.res.ChunksDecided++
-			co.remaining--
 		default:
 			// A journaled Unknown is always budget-exhausted (in-flight
 			// cubes are never committed): terminal under these budgets.
-			co.res.Exhausted = append(co.res.Exhausted, ChunkExhausted{Chunk: l.cube, Cause: rec.Cause})
-			co.remaining--
+			co.res.Exhausted = append(co.res.Exhausted, ChunkExhausted{Chunk: l.Cube, Cause: rec.Cause})
 		}
 	}
-	co.metrics.chunksRemaining.Set(int64(co.remaining))
-	if co.res.Verdict == core.Unsafe || co.remaining == 0 {
+	remaining := co.tree.Outstanding()
+	co.metrics.chunksRemaining.Set(int64(remaining))
+	if co.res.Verdict == core.Unsafe || remaining == 0 {
 		// The journal already decides the run: nothing to hand out.
 		co.mu.Lock()
 		co.finishLocked()
@@ -568,15 +503,13 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	res.Quarantined = co.tracker.failureLog()
 	res.Attempts = co.tracker.attempts()
 	res.Workers = co.health.Snapshot()
-	splits, hedges, steals, superseded, maxDepth := co.sched.stats()
-	res.Splits += splits
-	res.Hedges = hedges
-	res.Steals = steals
-	res.Superseded = superseded
-	if maxDepth > res.MaxCubeDepth {
-		res.MaxCubeDepth = maxDepth
-	}
-	if res.Verdict == core.Safe && (co.remaining > 0 || len(res.Quarantined) > 0 || len(res.Exhausted) > 0) {
+	st := co.tree.Stats()
+	res.Splits += st.Splits
+	res.Hedges = st.Hedges
+	res.Steals = st.Steals
+	res.Superseded = st.Superseded
+	res.MaxCubeDepth = max(res.MaxCubeDepth, st.MaxDepth)
+	if res.Verdict == core.Safe && (co.tree.Outstanding() > 0 || len(res.Quarantined) > 0 || len(res.Exhausted) > 0) {
 		res.Verdict = core.Unknown
 	}
 	co.mu.Unlock()
@@ -595,6 +528,29 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		return nil, ErrPrimaryKilled
 	}
 	return res, nil
+}
+
+// replays reports whether a leaf's last committed verdict still binds
+// this run; a leaf without one is solved.
+func (co *coordinator) replays(rec *journal.ChunkRecord) bool {
+	switch {
+	case rec == nil:
+		return false
+	// A budget-exhausted verdict is terminal only relative to the
+	// budgets pinned on its record: a resume that lifted or raised the
+	// exhausted budget re-queues the cube for workers instead of
+	// replaying a give-up the new flags were meant to overcome.
+	case rec.RetryUnder(co.opts.ChunkTimeout.Milliseconds(), co.opts.ChunkConflicts, co.opts.MemBudgetMB):
+		return false
+	// A certified run replays only certified definite verdicts. An
+	// uncertified record (journaled by a run with -certify=off, or a
+	// SAFE cube whose proof was sampled out) was never checked against
+	// this coordinator's encoding, so it is re-solved rather than
+	// trusted into a certified history.
+	case co.verifier != nil && rec.Verdict != core.Unknown.String() && !rec.Certified:
+		return false
+	}
+	return true
 }
 
 // commitChunk durably records one chunk verdict before it is
@@ -801,7 +757,7 @@ func (co *coordinator) workerLeft() {
 	defer co.mu.Unlock()
 	co.active--
 	co.metrics.workersActive.Set(int64(co.active))
-	if co.active == 0 && co.remaining > 0 && !co.finished {
+	if co.active == 0 && co.tree.Outstanding() > 0 && !co.finished {
 		if co.drain != nil {
 			co.drain.Stop()
 		}
@@ -812,7 +768,7 @@ func (co *coordinator) workerLeft() {
 func (co *coordinator) drainExpired() {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if co.active == 0 && co.remaining > 0 && !co.finished {
+	if co.active == 0 && co.tree.Outstanding() > 0 && !co.finished {
 		co.res.Drained = true
 		co.finishLocked()
 	}
@@ -866,8 +822,8 @@ func (co *coordinator) serve(c net.Conn) {
 			_ = wc.send(&Message{Type: "stop"})
 			return
 		}
-		cube := a.cube
-		id := a.jobID
+		cube := a.Cube
+		id := a.ID
 		co.tracker.assigned(cube)
 		level := co.opts.Certify.jobLevel(id)
 		// The job span is the cross-process graft point: its context
@@ -875,7 +831,7 @@ func (co *coordinator) serve(c net.Conn) {
 		// it, and the merged trace shows one tree per run.
 		jobSpan := co.root.Child("job",
 			obs.KV("job", id), obs.KV("cube", cube.Key()),
-			obs.KV("worker", key), obs.KV("hedge", a.hedge))
+			obs.KV("worker", key), obs.KV("hedge", a.Hedge))
 		sc := jobSpan.Context()
 		job := &Message{
 			Type: "job", JobID: id, Epoch: co.opts.Epoch, Source: co.source,
@@ -926,7 +882,6 @@ func (co *coordinator) serve(c net.Conn) {
 			dur, verr := co.verifier.verify(cube, reply, cert, level)
 			certSpan.End(obs.KV("ok", verr == nil))
 			co.metrics.certifySeconds.Observe(dur.Seconds())
-			co.metrics.certifySecondsAlias.Observe(dur.Seconds())
 			co.mu.Lock()
 			co.res.CertifyMillis += dur.Milliseconds()
 			co.mu.Unlock()
@@ -949,159 +904,110 @@ func (co *coordinator) serve(c net.Conn) {
 		co.recordRemoteStats(reply)
 		jobSpan.End(obs.KV("verdict", reply.Verdict), obs.KV("certified", certified))
 		co.recorder.AddSpans(reply.Spans)
-		switch reply.Verdict {
-		case core.Unsafe.String():
-			// The claim decides the race before the journal is touched: a
-			// result for a cube that was split, or whose hedge twin already
-			// won, is discarded here — never journaled, never charged.
-			if !co.sched.claim(a) {
-				co.noteSuperseded()
-				continue
-			}
-			co.acceptParts(a, reply, key, certified)
-			// Commit before acknowledging: a crash after this point
-			// replays straight to the counterexample.
-			if !co.commitChunk(journal.ChunkRecord{
-				From: cube.From, To: cube.To, Path: cube.Path,
-				Verdict: core.Unsafe.String(), Winner: reply.Winner, Millis: reply.Millis,
-				Certified: certified,
-			}) {
-				return
-			}
+		// Unknown results split by cause. A cancel is the expected fate of
+		// a superseded assignment (the worker acknowledged the cancel);
+		// for a cube that was *not* superseded — a worker-local interrupt
+		// — it is a normal retryable failure. With no configured memory
+		// budget, a "memory" result is the worker's own OOM watchdog
+		// tripping: that machine ran out, not the cube being
+		// deterministically too big, so another worker (or the same one,
+		// once its heap drains) may have the headroom; the attempt budget
+		// still bounds how often this can loop. Any other unbudgeted
+		// Unknown is a failed attempt on a still-usable connection. A
+		// budgeted Unknown is terminal, like a definite verdict.
+		cause := sat.ParseStopCause(reply.Cause)
+		if cause == sat.CauseMemory {
+			co.metrics.memoryAborted.Inc()
 			co.mu.Lock()
-			co.res.Jobs++
-			co.res.ChunksDecided++
-			co.res.Verdict = core.Unsafe
-			co.res.Winner = reply.Winner
-			co.finishLocked()
+			co.res.MemoryAborted++
 			co.mu.Unlock()
+		}
+		var retry string
+		switch {
+		case reply.Verdict == core.Unsafe.String() || reply.Verdict == core.Safe.String():
+		case cause == sat.CauseCancelled:
+			retry = "cancelled"
+		case cause == sat.CauseMemory && co.opts.MemBudgetMB == 0:
+			retry = "memory watchdog abort"
+		case !cause.Budgeted():
+			retry = "verdict " + reply.Verdict
+		}
+		if retry != "" {
+			co.retry(a, fmt.Sprintf("job %d on %s: %s", id, key, retry), true)
+			continue
+		}
+		switch ok, fin := co.decide(a, reply, key, certified); {
+		case !ok:
+			return
+		case fin:
 			_ = wc.send(&Message{Type: "stop"})
 			return
-		case core.Safe.String():
-			if !co.sched.claim(a) {
-				co.noteSuperseded()
-				continue
-			}
-			co.acceptParts(a, reply, key, certified)
-			if !co.commitChunk(journal.ChunkRecord{
-				From: cube.From, To: cube.To, Path: cube.Path,
-				Verdict: core.Safe.String(), Winner: -1, Millis: reply.Millis,
-				Certified: certified,
-			}) {
-				return
-			}
-			co.mu.Lock()
-			co.res.Jobs++
-			co.res.ChunksDecided++
-			co.remaining--
-			co.metrics.chunksRemaining.Set(int64(co.remaining))
-			fin := co.remaining == 0
-			if fin {
-				co.finishLocked()
-			}
-			co.mu.Unlock()
-			if fin {
-				_ = wc.send(&Message{Type: "stop"})
-				return
-			}
-		default:
-			cause := sat.ParseStopCause(reply.Cause)
-			if cause == sat.CauseCancelled {
-				// The expected fate of a superseded assignment: the worker
-				// acknowledged the cancel. Nothing is journaled and no
-				// attempt is charged. A cancelled result for a cube that
-				// was *not* superseded (a worker-local interrupt) is a
-				// normal retryable failure.
-				if co.sched.release(a) {
-					co.requeueOrQuarantine(cube, key,
-						fmt.Sprintf("job %d on %s: cancelled", id, key))
-				} else {
-					co.noteSuperseded()
-				}
-				continue
-			}
-			if cause == sat.CauseMemory {
-				co.metrics.memoryAborted.Inc()
-				co.mu.Lock()
-				co.res.MemoryAborted++
-				co.mu.Unlock()
-				if co.opts.MemBudgetMB == 0 {
-					// With no configured memory budget, a "memory" result is
-					// the worker's own OOM watchdog tripping: that machine
-					// ran out, not the cube being deterministically too
-					// big. Re-queue it — another worker (or the same one,
-					// once its heap drains) may have the headroom. The
-					// attempt budget still bounds how often this can loop.
-					if co.sched.release(a) {
-						co.requeueOrQuarantine(cube, key,
-							fmt.Sprintf("job %d on %s: memory watchdog abort", id, key))
-					} else {
-						co.noteSuperseded()
-					}
-					continue
-				}
-			}
-			if cause.Budgeted() {
-				// A budgeted Unknown is deterministic: the same cube under
-				// the same budgets gives up again. Terminal, journaled with
-				// the budgets it gave up under (so a resume with raised
-				// budgets re-queues it), and not charged to the retry
-				// budget. Terminal means it must win the race like any
-				// other verdict.
-				if !co.sched.claim(a) {
-					co.noteSuperseded()
-					continue
-				}
-				co.acceptParts(a, reply, key, certified)
-				if !co.commitChunk(journal.ChunkRecord{
-					From: cube.From, To: cube.To, Path: cube.Path,
-					Verdict: core.Unknown.String(), Winner: -1,
-					Cause: reply.Cause, Millis: reply.Millis,
-					TimeoutMillis: co.opts.ChunkTimeout.Milliseconds(),
-					Conflicts:     co.opts.ChunkConflicts,
-					MemBudgetMB:   co.opts.MemBudgetMB,
-				}) {
-					return
-				}
-				co.metrics.budgetExhausted.Inc()
-				co.mu.Lock()
-				co.res.Jobs++
-				co.res.Exhausted = append(co.res.Exhausted, ChunkExhausted{Chunk: cube, Cause: reply.Cause})
-				co.remaining--
-				co.metrics.chunksRemaining.Set(int64(co.remaining))
-				fin := co.remaining == 0
-				if fin {
-					co.finishLocked()
-				}
-				co.mu.Unlock()
-				if fin {
-					_ = wc.send(&Message{Type: "stop"})
-					return
-				}
-				continue
-			}
-			// Retryable Unknown: a failed attempt, but the connection
-			// stays usable.
-			if co.sched.release(a) {
-				co.requeueOrQuarantine(cube, key,
-					fmt.Sprintf("job %d on %s: verdict %s", id, key, reply.Verdict))
-			} else {
-				co.noteSuperseded()
-			}
 		}
 	}
 }
 
-// nextAssignment blocks until the scheduler hands this worker something
-// to run — a queued cube, the stolen child of a straggler it just
-// split, or a hedged duplicate — or the run ends (nil). The periodic
-// tick is what notices grace periods expiring when no queue activity
-// wakes anyone.
-func (co *coordinator) nextAssignment(key string, wc *conn) *assignment {
-	tick := co.opts.SplitGrace / 4
-	if tick <= 0 || tick > 500*time.Millisecond {
-		tick = 500 * time.Millisecond
+// decide settles a terminal result: a definite verdict, or a budgeted
+// Unknown — deterministic, since the same cube under the same budgets
+// gives up again, so it is journaled with the budgets it gave up under
+// (a resume with raised budgets re-queues it) and not charged to the
+// retry budget. The claim decides the race before the journal is
+// touched: a result for a cube that was split, or whose hedge twin
+// already won, is discarded — never journaled, never charged. ok is
+// false when the journal commit failed (the run is ending); fin reports
+// that the run is decided.
+func (co *coordinator) decide(a *assignment, reply *Message, key string, certified bool) (ok, fin bool) {
+	if !co.tree.Claim(a) {
+		co.noteSuperseded()
+		return true, false
 	}
+	co.acceptParts(a, reply, key, certified)
+	cube := a.Cube
+	rec := journal.ChunkRecord{
+		From: cube.From, To: cube.To, Path: cube.Path,
+		Verdict: reply.Verdict, Winner: -1, Millis: reply.Millis,
+		Certified: certified,
+	}
+	switch reply.Verdict {
+	case core.Unsafe.String():
+		rec.Winner = reply.Winner
+	case core.Unknown.String():
+		rec.Cause = reply.Cause
+		rec.TimeoutMillis = co.opts.ChunkTimeout.Milliseconds()
+		rec.Conflicts = co.opts.ChunkConflicts
+		rec.MemBudgetMB = co.opts.MemBudgetMB
+	}
+	// Commit before acknowledging: a crash after this point replays the
+	// verdict (straight to the counterexample, for UNSAFE).
+	if !co.commitChunk(rec) {
+		return false, false
+	}
+	if reply.Verdict == core.Unknown.String() {
+		co.metrics.budgetExhausted.Inc()
+	}
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	co.res.Jobs++
+	switch reply.Verdict {
+	case core.Unsafe.String():
+		co.res.ChunksDecided++
+		co.res.Verdict = core.Unsafe
+		co.res.Winner = reply.Winner
+		co.finishLocked()
+		return true, true
+	case core.Safe.String():
+		co.res.ChunksDecided++
+	default:
+		co.res.Exhausted = append(co.res.Exhausted, ChunkExhausted{Chunk: cube, Cause: reply.Cause})
+	}
+	return true, co.settledLocked()
+}
+
+// nextAssignment blocks until the cube tree hands this worker something
+// to run — a queued cube, the stolen child of a straggler it just
+// split, or a hedged duplicate — or the run ends (nil). While idle it
+// sleeps on tree events, plus a timer only while some running cube can
+// still age into a split victim or hedge candidate.
+func (co *coordinator) nextAssignment(key string, wc *conn) *assignment {
 	for {
 		select {
 		case <-co.done:
@@ -1113,29 +1019,20 @@ func (co *coordinator) nextAssignment(key string, wc *conn) *assignment {
 		if !co.dispatchGate() {
 			return nil
 		}
-		a, victim := co.sched.tryAcquire(key, wc)
-		if a != nil {
-			if a.hedge {
+		n := co.tree.Acquire(key, wc, time.Now())
+		switch {
+		case n.Run != nil:
+			if n.Run.Hedge {
 				co.metrics.chunksHedged.Inc()
 			}
-			_, _, _, _, depth := co.sched.stats()
-			co.metrics.cubeDepth.Set(int64(depth))
-			return a
-		}
-		if victim != nil {
-			if a := co.performSplit(victim, key, wc); a != nil {
+			co.metrics.cubeDepth.Set(int64(co.tree.Stats().MaxDepth))
+			return n.Run
+		case n.Victim != nil:
+			if a := co.performSplit(n.Victim, key, wc); a != nil {
 				return a
 			}
-			continue
-		}
-		t := time.NewTimer(tick)
-		select {
-		case <-co.done:
-			t.Stop()
-			return nil
-		case <-co.sched.notify:
-			t.Stop()
-		case <-t.C:
+		default:
+			cubetree.Wait(n, co.done)
 		}
 	}
 }
@@ -1143,33 +1040,33 @@ func (co *coordinator) nextAssignment(key string, wc *conn) *assignment {
 // performSplit turns a split reservation into a committed tree edit:
 // the SPLIT record is journaled first — the claim window closed when
 // the victim was reserved, so no parent verdict can land after this —
-// then the scheduler swaps the cube for its two children. The idle
-// caller walks away with one child (stolen from the straggler's worker)
-// and the other hits the queue.
+// then the tree swaps the cube for its two children. The idle caller
+// walks away with one child (stolen from the straggler's worker) and
+// the other hits the queue.
 func (co *coordinator) performSplit(victim *assignment, key string, wc *conn) *assignment {
-	cube := victim.cube
-	hardness := co.sched.hardnessOf(cube)
+	cube := victim.Cube
+	hardness := co.tree.Hardness(cube)
 	if !co.commitChunk(journal.ChunkRecord{
 		From: cube.From, To: cube.To, Path: cube.Path,
 		Verdict: journal.VerdictSplit,
 	}) {
-		co.sched.abortSplit(victim)
+		co.tree.AbortSplit(victim)
 		return nil
 	}
-	a, stolen := co.sched.completeSplit(victim, key, wc)
+	a := co.tree.CompleteSplit(victim, key, wc, time.Now())
+	stolen := victim.Worker != key
 	co.metrics.cubesSplit.Inc()
 	if stolen {
 		co.metrics.cubeSteals.Inc()
 	}
 	co.mu.Lock()
-	co.remaining++ // one live cube became two
 	co.res.ChunksTotal++
 	co.metrics.chunksTotal.Set(int64(co.res.ChunksTotal))
-	co.metrics.chunksRemaining.Set(int64(co.remaining))
+	co.metrics.chunksRemaining.Set(int64(co.tree.Outstanding()))
 	co.mu.Unlock()
 	co.recorder.CubeFinish(report.CubeRow{
 		Key: cube.Key(), From: cube.From, To: cube.To, Path: cube.Path,
-		Worker: victim.worker, Verdict: journal.VerdictSplit,
+		Worker: victim.Worker, Verdict: journal.VerdictSplit,
 		Hardness: hardness, Stolen: stolen,
 	})
 	return a
@@ -1201,14 +1098,14 @@ func (co *coordinator) acceptParts(a *assignment, reply *Message, key string, ce
 		})
 	}
 	co.recorder.CubeFinish(report.CubeRow{
-		Key: a.cube.Key(), From: a.cube.From, To: a.cube.To, Path: a.cube.Path,
+		Key: a.Cube.Key(), From: a.Cube.From, To: a.Cube.To, Path: a.Cube.Path,
 		Worker: key, Verdict: reply.Verdict, Cause: reply.Cause,
-		SolveMillis: reply.Millis, Hedged: a.hedge, Certified: certified,
+		SolveMillis: reply.Millis, Hedged: a.Hedge, Certified: certified,
 	})
 }
 
 // noteSuperseded counts one discarded result — its cube was split or a
-// twin won the race while it was in flight. The scheduler's own
+// twin won the race while it was in flight. The cube tree's own
 // counters feed CoordinatorResult.Superseded at the end of the run.
 func (co *coordinator) noteSuperseded() {
 	co.metrics.supersededResults.Inc()
@@ -1221,7 +1118,7 @@ func (co *coordinator) noteSuperseded() {
 // JobID is a protocol violation (stale result misattribution) and fails
 // the worker.
 func (co *coordinator) awaitResult(wc *conn, a *assignment, key string, heartbeats bool) (*Message, error) {
-	id := a.jobID
+	id := a.ID
 	deadline := time.Now().Add(co.opts.JobTimeout)
 	grace := co.opts.JobTimeout
 	if heartbeats && co.opts.HeartbeatGrace < grace {
@@ -1251,7 +1148,7 @@ func (co *coordinator) awaitResult(wc *conn, a *assignment, key string, heartbea
 				co.notePressure(key, reply.MemBytes, reply.MemLimit)
 				// The live hardness reading is the straggler signal the
 				// split-victim selection steers by.
-				co.sched.note(a, reply.Hardness)
+				co.tree.Note(a, reply.Hardness)
 				for _, pp := range reply.Parts {
 					co.metrics.partProgress(pp)
 					co.recorder.Progress(pp.Partition, key, pp.Conflicts, pp.Propagations, pp.Progress)
@@ -1325,15 +1222,7 @@ func (co *coordinator) rejectCertificate(a *assignment, key, reason string) {
 	co.mu.Lock()
 	co.res.CertRejected++
 	co.mu.Unlock()
-	if !co.sched.release(a) {
-		co.noteSuperseded()
-		return
-	}
-	co.metrics.reassigned.Inc()
-	co.mu.Lock()
-	co.res.Reassigned++
-	co.mu.Unlock()
-	co.sched.push(a.cube)
+	co.retry(a, "", false)
 }
 
 // recordRemoteStats folds one job result's search statistics into the
@@ -1354,25 +1243,24 @@ func (co *coordinator) recordRemoteStats(reply *Message) {
 func (co *coordinator) failAssignment(a *assignment, key, reason string) {
 	co.health.failed(key)
 	co.metrics.workerFailed(key)
-	if !co.sched.release(a) {
+	co.retry(a, reason, true)
+}
+
+// retry retires an assignment that produced no verdict. Unless its cube
+// was superseded in flight (its children or a hedge twin carry it now),
+// the cube goes back on the queue — or, when the failed attempt is
+// charged and exhausts the cube's budget, is quarantined so it is never
+// reassigned again. Quarantining the last unresolved cube ends the run.
+func (co *coordinator) retry(a *assignment, reason string, charge bool) {
+	if !co.tree.Release(a) {
 		co.noteSuperseded()
 		return
 	}
-	co.requeueOrQuarantine(a.cube, key, reason)
-}
-
-// requeueOrQuarantine puts a failed cube back on the queue, or — once
-// its budget is exhausted — quarantines it so it is never reassigned
-// again. Quarantining the last unresolved cube ends the run.
-func (co *coordinator) requeueOrQuarantine(cube partition.Cube, key, reason string) {
-	if co.tracker.failed(cube, reason) {
+	if charge && co.tracker.failed(a.Cube, reason) {
 		co.metrics.quarantined.Inc()
+		co.tree.Drop(a.Cube)
 		co.mu.Lock()
-		co.remaining--
-		co.metrics.chunksRemaining.Set(int64(co.remaining))
-		if co.remaining == 0 {
-			co.finishLocked()
-		}
+		co.settledLocked()
 		co.mu.Unlock()
 		return
 	}
@@ -1380,5 +1268,17 @@ func (co *coordinator) requeueOrQuarantine(cube partition.Cube, key, reason stri
 	co.mu.Lock()
 	co.res.Reassigned++
 	co.mu.Unlock()
-	co.sched.push(cube)
+	co.tree.Requeue(a.Cube)
+}
+
+// settledLocked publishes the outstanding-leaf gauge after a leaf was
+// decided or dropped, and ends the run once none is left; callers hold
+// co.mu.
+func (co *coordinator) settledLocked() bool {
+	n := co.tree.Outstanding()
+	co.metrics.chunksRemaining.Set(int64(n))
+	if n == 0 {
+		co.finishLocked()
+	}
+	return n == 0
 }

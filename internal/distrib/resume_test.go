@@ -250,4 +250,21 @@ func TestDistributedBudgetExhaustedChunks(t *testing.T) {
 	if res3.ChunksDecided != 4 || res3.ChunksTotal != 4 {
 		t.Fatalf("lifted-budget coverage %d/%d, want 4/4", res3.ChunksDecided, res3.ChunksTotal)
 	}
+
+	// Resume under the original 1-conflict budget again: the journal
+	// holds each poison chunk's old exhaustion followed by the lifted
+	// run's SAFE verdict. The last verdict per leaf wins, so every chunk
+	// replays SAFE and nothing is handed out.
+	ln, err = net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res4, err := Coordinate(context.Background(), ln, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res4.Verdict != core.Safe || res4.Resumed != 4 || res4.Jobs != 0 {
+		t.Fatalf("re-budgeted resume: verdict %v resumed %d jobs %d exhausted %+v, want SAFE/4/0",
+			res4.Verdict, res4.Resumed, res4.Jobs, res4.Exhausted)
+	}
 }

@@ -717,26 +717,20 @@ func runJob(ctx context.Context, m *Message, cores int, progress *jobProgress, f
 	reply.Verdict = res.Verdict.String()
 	reply.SolveMillis = res.SolveTime.Milliseconds()
 	if res.Verdict == core.Unknown {
-		// Name the dominant exhausted budget so the coordinator can tell
-		// a terminal budgeted Unknown (re-running gives up again) from a
-		// retryable one (cancellation mid-flight). Memory dominates: a
-		// watchdog-aborted job must surface as "memory" so the
-		// coordinator can apply its memory retry policy, whatever else
-		// was exhausted alongside. Then timeout: a run that hit the wall
-		// clock anywhere is wall-clock bound.
-		switch {
-		case len(res.Coverage.Memory) > 0:
-			reply.Cause = sat.CauseMemory.String()
-		case len(res.Coverage.Timeout) > 0:
-			reply.Cause = sat.CauseTimeout.String()
-		case len(res.Coverage.ConflictBudget) > 0:
-			reply.Cause = sat.CauseConflictBudget.String()
-		case len(res.Coverage.Cancelled) > 0:
-			// A mid-solve cancel (hedge loser, split supersession): the
-			// coordinator discards this result without charging the
-			// attempt budget.
-			reply.Cause = sat.CauseCancelled.String()
+		// Name the dominant stop cause (sat.StopCause.Merge) so the
+		// coordinator can tell a terminal budgeted Unknown (re-running
+		// gives up again) from a retryable one: a watchdog-aborted job
+		// surfaces as "memory" whatever else was exhausted alongside,
+		// and a mid-solve cancel (hedge loser, split supersession) as
+		// "cancelled", which the coordinator discards without charging
+		// the attempt budget.
+		var cause sat.StopCause
+		for _, inst := range res.Instances {
+			if inst.Status == sat.Unknown {
+				cause = cause.Merge(inst.Cause)
+			}
 		}
+		reply.Cause = cause.String()
 	}
 	// Aggregate the per-partition search statistics so the coordinator
 	// sees the remote search effort (load skew, conflict rates) instead

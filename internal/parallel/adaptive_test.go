@@ -183,3 +183,31 @@ func TestStaticResumeIgnoresCubeRecords(t *testing.T) {
 		t.Fatalf("static resume committed %d records, want %d", j2.Commits(), adaptiveCommits+1)
 	}
 }
+
+// An idle worker blocks on tree events, not on a poll tick: with
+// splitting armed but a grace no instance reaches, the worker that
+// finished the easy partition must notice the hard one's verdict at
+// once, so the run ends within a small margin of its slowest instance.
+func TestIdleWorkerWokenByLastVerdict(t *testing.T) {
+	f := pigeonhole(7)
+	parts, lits := stragglerParts(7)
+	opts := adaptiveOpts(lits)
+	opts.SplitDepth = 1
+	opts.SplitGrace = time.Hour
+	res, err := Solve(context.Background(), f, parts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != sat.Unsat || res.Splits != 0 {
+		t.Fatalf("status %v splits %d, want UNSAT without splits", res.Status, res.Splits)
+	}
+	var slowest time.Duration
+	for _, inst := range res.Instances {
+		slowest = max(slowest, inst.Time)
+	}
+	// A polling worker would overshoot by up to its tick.
+	if margin := res.Wall - slowest; margin > 150*time.Millisecond {
+		t.Fatalf("run took %v against a slowest instance of %v: the idle worker slept %v past the last verdict",
+			res.Wall, slowest, margin)
+	}
+}

@@ -13,6 +13,10 @@
 //   - A crash-safe journal (Options.Journal) commits every definite and
 //     budget-exhausted verdict; a restarted run with the same manifest
 //     skips committed partitions and re-solves only the rest.
+//
+// Scheduling is the shared cube-tree engine (internal/cubetree): a
+// static run is a tree whose roots never split; Options.SplitDepth
+// lets straggling partitions split into sub-cubes at run time.
 package parallel
 
 import (
@@ -20,10 +24,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cnf"
+	"repro/internal/cubetree"
 	"repro/internal/journal"
 	"repro/internal/partition"
 	"repro/internal/sat"
@@ -64,8 +68,8 @@ type InstanceResult struct {
 	// ProgressEvery armed the solver; bounded to the most recent
 	// sat.DefaultSamplerPoints points).
 	Samples []sat.Sample
-	// Cubes is the number of leaf cubes adaptive splitting folded into
-	// this per-partition result (0: the partition was solved whole).
+	// Cubes is the number of leaf cubes folded into this per-partition
+	// result (1: the partition was solved whole).
 	Cubes int
 }
 
@@ -79,7 +83,7 @@ type Result struct {
 	// Winner is the partition index that found the model (-1 otherwise).
 	Winner int
 	// Instances holds the per-partition results that completed, were
-	// cancelled, or were resumed from the journal.
+	// cancelled, or were resumed from the journal, in partition order.
 	Instances []InstanceResult
 	// Resumed counts instances replayed from the journal.
 	Resumed int
@@ -162,9 +166,9 @@ type Options struct {
 	// ProgressEvery is the conflict cadence of Progress callbacks.
 	ProgressEvery int64
 	// SplitDepth enables in-process adaptive cube splitting: an idle
-	// worker that finds the queue empty interrupts the hardest straggling
-	// instance past SplitGrace and splits its cube on the next unfixed
-	// literal of SplitLits, re-queueing both halves — up to SplitDepth
+	// worker that finds the queue empty splits the hardest straggling
+	// instance past SplitGrace on the next unfixed literal of SplitLits,
+	// taking one half itself and queueing the other — up to SplitDepth
 	// extra path bits per partition (0 disables; requires SplitLits).
 	SplitDepth int
 	// SplitGrace is the minimum solving age before an instance may be
@@ -178,20 +182,58 @@ type Options struct {
 	SplitLits []cnf.Lit
 }
 
-// instrument arms one solver instance with the live progress hook and
-// returns the sampler piggybacked on the same cadence (nil when the
-// hook is disarmed — the sampler costs nothing beyond the callbacks
-// the caller already asked for).
-func (o *Options) instrument(solver *sat.Solver, part int) *sat.Sampler {
-	if o.Progress == nil || o.ProgressEvery <= 0 {
-		return nil
+// splitting reports whether the run may refine partitions into cubes.
+func (o *Options) splitting() bool {
+	return o.SplitDepth > 0 && len(o.SplitLits) > 0
+}
+
+// newInstance builds one partition's solver under the run's budgets,
+// with proof logging on when certifying or keeping proofs. It arms the
+// live progress hook and returns the sampler piggybacked on the same
+// cadence (nil when the hook is disarmed — the sampler costs nothing
+// beyond the callbacks the caller already asked for). note, when
+// non-nil, also receives every sample: the hardness feed that steers
+// splitting.
+func (o *Options) newInstance(f *cnf.Formula, part int, note func(sat.Stats)) (*sat.Solver, *sat.Sampler) {
+	sOpts := o.solverOptions(part)
+	if note != nil && sOpts.ProgressEvery <= 0 {
+		sOpts.ProgressEvery = 512 // splitting needs the feed even when the caller asked for none
+	}
+	solver := sat.NewFromFormula(f, sOpts)
+	if o.CertifyUnsat || o.KeepProofs {
+		solver.EnableProof()
+	}
+	if note == nil && (o.Progress == nil || o.ProgressEvery <= 0) {
+		return solver, nil
 	}
 	sampler := sat.NewSampler(0)
 	solver.Progress = func(st sat.Stats) {
 		sampler.Observe(st)
-		o.Progress(part, st)
+		if note != nil {
+			note(st)
+		}
+		if o.Progress != nil {
+			o.Progress(part, st)
+		}
 	}
-	return sampler
+	return solver, sampler
+}
+
+// instance is the result of a finished solve.
+func (o *Options) instance(part int, solver *sat.Solver, sampler *sat.Sampler, status sat.Status, cause sat.StopCause, elapsed time.Duration) InstanceResult {
+	inst := InstanceResult{
+		Partition: part,
+		Status:    status,
+		Cause:     cause,
+		Time:      elapsed,
+		Stats:     solver.Stats(),
+		Samples:   sampler.Points(),
+	}
+	inst.Hardness = sat.Hardness(inst.Stats.Conflicts, inst.Stats.Progress, elapsed)
+	if status == sat.Unsat && o.KeepProofs {
+		inst.Proof = solver.ProofLog()
+	}
+	return inst
 }
 
 // solverOptions derives one instance's solver configuration, folding
@@ -211,11 +253,23 @@ func (o *Options) solverOptions(part int) sat.Options {
 	return sOpts
 }
 
+// rederive re-solves a cube whose SAT verdict is already durable —
+// journaled, or decided in a simulated schedule — for its model. The
+// journal stores no model. The re-solve runs without any conflict or
+// memory budget, so this run's (possibly smaller) budgets cannot demote
+// a committed counterexample to Unknown; a SAT verdict that fails to
+// re-derive means the journal and the formula disagree.
+func (o *Options) rederive(f *cnf.Formula, part int, assume []cnf.Lit) ([]bool, error) {
+	solver := sat.NewFromFormula(f, o.rederiveOptions(part))
+	st, err := solver.Solve(assume...)
+	if err != nil || st != sat.Sat {
+		return nil, fmt.Errorf("parallel: SAT verdict for partition %d failed to re-derive its model (status %v, err %v)", part, st, err)
+	}
+	return solver.Model(), nil
+}
+
 // rederiveOptions is solverOptions without any conflict or memory
-// budget: the journal's SAT verdict is already durable, so the re-solve
-// that recovers its model must not be cut short by this run's (possibly
-// smaller) budgets — a budget-starved re-solve would otherwise demote
-// a committed counterexample to Unknown.
+// budget (see rederive).
 func (o *Options) rederiveOptions(part int) sat.Options {
 	sOpts := o.solverOptions(part)
 	sOpts.MaxConflicts = 0
@@ -236,27 +290,40 @@ func (o *Options) replayable(rec journal.ChunkRecord, part int) bool {
 	return !rec.RetryUnder(o.ChunkTimeout.Milliseconds(), sOpts.MaxConflicts, sOpts.MemBudgetMB)
 }
 
-// committedRecords indexes the journal's committed set by partition for
-// per-partition (From == To) records. Cube-leaf records (non-empty
-// Path) and SPLIT markers written by an adaptive run are skipped: a
-// sub-cube verdict covers only part of its partition, so a
-// non-adaptive resume must re-solve the whole partition rather than
-// replay a fragment as if it were the full verdict.
-func committedRecords(j *journal.Journal) map[int]journal.ChunkRecord {
-	if j == nil {
-		return nil
+// replay rebuilds the run's cube tree — one root per partition — from
+// the journal. A run that cannot split ignores sub-cube and SPLIT
+// records: a sub-cube verdict covers only part of its partition, so
+// such a run re-solves the partition whole rather than replay a
+// fragment as if it were the full verdict.
+func (o *Options) replay(parts []partition.Partition, split bool) cubetree.Replayed {
+	roots := make([]partition.Cube, len(parts))
+	for i, pt := range parts {
+		roots[i] = partition.Cube{From: pt.Index, To: pt.Index}
 	}
-	out := make(map[int]journal.ChunkRecord)
-	for _, rec := range j.Committed() {
-		if rec.From == rec.To && rec.Path == "" && !rec.Split() {
-			out[rec.From] = rec
+	var recs []journal.ChunkRecord
+	if o.Journal != nil {
+		for _, rec := range o.Journal.Committed() {
+			if split || (rec.Path == "" && !rec.Split()) {
+				recs = append(recs, rec)
+			}
 		}
 	}
-	return out
+	return cubetree.Replay(roots, recs)
+}
+
+// resumedInstance is the result a committed record replays as.
+func resumedInstance(part int, rec journal.ChunkRecord) InstanceResult {
+	return InstanceResult{
+		Partition: part,
+		Status:    statusFromString(rec.Verdict),
+		Cause:     sat.ParseStopCause(rec.Cause),
+		Resumed:   true,
+		Time:      time.Duration(rec.Millis) * time.Millisecond,
+	}
 }
 
 // commit journals one instance verdict (path is the instance's cube
-// path, empty outside adaptive splitting). Definite verdicts and budget
+// path, empty for a whole partition). Definite verdicts and budget
 // exhaustions are durable; cancellations are deliberately not committed
 // (the partition is in-flight and must be requeued by a resume). A
 // budget exhaustion pins the budgets it was computed under, so a resume
@@ -294,304 +361,373 @@ func winnerOf(inst InstanceResult) int {
 // Solve checks the formula under each partition's assumptions in
 // parallel. It honours ctx cancellation (returning Unknown), per-chunk
 // budgets, and journal resume.
+//
+// Options.Workers goroutines drain one cube tree (internal/cubetree)
+// whose roots are the partitions. Without splitting the tree never
+// grows and every partition is solved whole. With SplitDepth and
+// SplitLits set, a worker that finds the queue empty picks the hardest
+// cube solving past SplitGrace, commits its SPLIT record, takes one
+// child and queues the other; the interrupted victim's result is
+// discarded as superseded. The children fix one more split literal in
+// both polarities, so they partition the parent's assumption space
+// exactly: both UNSAT refutes the parent, any model satisfies it. The
+// SPLIT record lands before either child runs, so a resume finds the
+// children pending and the parent permanently superseded.
 func Solve(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts Options) (*Result, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("parallel: no partitions")
-	}
-	if opts.SplitDepth > 0 && len(opts.SplitLits) > 0 {
-		return solveAdaptive(ctx, f, parts, opts)
 	}
 	workers := opts.Workers
 	if workers <= 0 || workers > len(parts) {
 		workers = len(parts)
 	}
-
 	start := time.Now()
-	res := &Result{Status: sat.Unsat, Winner: -1}
-
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-
-	// Cancellation: the first SAT result interrupts all live solvers.
+	// Cancellation — the first SAT result, or ctx — interrupts every
+	// live solver through SolveCtx. The external memory kill-switch
+	// cancels memCtx instead, which aborts them with cause=memory; a
+	// solver registered after it fired is aborted on registration.
 	solveCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	memCtx, memAbort := context.WithCancel(context.WithoutCancel(ctx))
+	defer memAbort()
 
-	committed := committedRecords(opts.Journal)
-	var journalErr error
-	var panicErr error
-
-	// Resume pass: replay every committed verdict before spawning any
-	// solver goroutine, so the shared Result is only ever touched
-	// single-threadedly here and under mu once solving starts. Records
-	// whose exhausted budget this run raises are dropped back into the
-	// to-solve set instead of replayed.
-	todo := make([]partition.Partition, 0, len(parts))
+	r := &solveRun{
+		f: f, opts: opts, ctx: solveCtx, cancel: cancel, memCtx: memCtx,
+		split:  opts.splitting(),
+		parts:  make(map[int]partition.Partition, len(parts)),
+		leaves: make(map[int][]InstanceResult, len(parts)),
+		res:    &Result{Status: sat.Unsat, Winner: -1},
+	}
+	var cfg cubetree.Config
+	if r.split {
+		cfg = cubetree.Config{
+			SplitDepth: opts.SplitDepth, SplitBits: len(opts.SplitLits),
+			SplitGrace: opts.SplitGrace, SplitHardness: opts.SplitHardness,
+		}
+	}
+	r.tree = cubetree.New(cfg, func(a *cubetree.Assignment[*slot]) { a.Handle.interrupt() })
 	for _, pt := range parts {
-		rec, ok := committed[pt.Index]
-		if !ok || !opts.replayable(rec, pt.Index) {
-			todo = append(todo, pt)
-			continue
-		}
-		inst := InstanceResult{
-			Partition: pt.Index,
-			Status:    statusFromString(rec.Verdict),
-			Cause:     sat.ParseStopCause(rec.Cause),
-			Resumed:   true,
-			Time:      time.Duration(rec.Millis) * time.Millisecond,
-		}
-		res.Instances = append(res.Instances, inst)
-		res.Resumed++
-		switch inst.Status {
-		case sat.Sat:
-			// The journal stores no model; re-derive it now (without this
-			// run's budgets) so the resumed run still produces a decodable
-			// counterexample. A committed SAT verdict that does not
-			// re-derive means the journal and the formula disagree —
-			// refusing the run beats silently reporting UNSAT over a
-			// durably recorded counterexample.
-			if res.Status != sat.Sat {
-				solver := sat.NewFromFormula(f, opts.rederiveOptions(pt.Index))
-				st, serr := solver.Solve(pt.Assumptions...)
-				if serr != nil || st != sat.Sat {
-					return nil, fmt.Errorf("parallel: journaled SAT verdict for partition %d failed to re-derive (status %v, err %v); refusing to resume against a disagreeing journal", pt.Index, st, serr)
-				}
-				res.Status = sat.Sat
-				res.Model = solver.Model()
-				res.Winner = pt.Index
-			}
-		case sat.Unknown:
-			if res.Status == sat.Unsat {
-				res.Status = sat.Unknown
-			}
-		}
+		r.parts[pt.Index] = pt
+	}
+	if err := r.resume(opts.replay(parts, r.split)); err != nil {
+		return nil, err
+	}
+	if r.res.Status == sat.Sat {
+		// A replayed SAT verdict decides the run: pending cubes are
+		// cancelled exactly as if a live sibling had won the race.
+		cancel()
 	}
 
-	// A replayed SAT verdict decides the run: the remaining partitions
-	// are cancelled exactly as if a live sibling had won the race.
-	if res.Status == sat.Sat {
-		for _, pt := range todo {
-			res.Instances = append(res.Instances, InstanceResult{
-				Partition: pt.Index, Status: sat.Unknown, Cause: sat.CauseCancelled,
-			})
-		}
-		res.Wall = time.Since(start)
-		res.Certified = opts.CertifyUnsat
-		return res, nil
-	}
-
-	var live []*sat.Solver
-	certFailed := false
-	interruptAll := func() {
-		mu.Lock()
-		for _, s := range live {
-			s.Interrupt()
-		}
-		mu.Unlock()
-	}
-	go func() {
-		<-solveCtx.Done()
-		interruptAll()
-	}()
-
-	// External memory kill-switch: once fired, every live solver is
-	// aborted with cause=memory, and solvers registered later are
-	// aborted on registration (closing the fire/register race).
-	var memAborted atomic.Bool
 	if opts.MemAbort != nil {
 		go func() {
 			select {
 			case <-opts.MemAbort:
-				memAborted.Store(true)
-				mu.Lock()
-				for _, s := range live {
-					s.InterruptMemory()
-				}
-				mu.Unlock()
+				memAbort()
 			case <-solveCtx.Done():
 			}
 		}()
 	}
-
-	// One prepared checker serves every partition's proof.
-	var checker *sat.RUPChecker
-	if opts.CertifyUnsat {
-		checker = sat.NewRUPChecker(f)
+	// One prepared checker serves every cube's proof.
+	if opts.CertifyUnsat && r.res.Status != sat.Sat {
+		r.checker = sat.NewRUPChecker(f)
 	}
-	for _, pt := range todo {
-		pt := pt
+
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
-		go func() {
+		go func(key string) {
 			defer wg.Done()
-			// A panicking solver instance must not take the process down
-			// with it: the panic becomes the run's error and cancels the
-			// siblings, so callers (and distributed workers in particular)
-			// see a structured failure for one poison partition instead of
-			// a crash.
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if panicErr == nil {
-						panicErr = fmt.Errorf("parallel: partition %d solver panicked: %v", pt.Index, r)
-					}
-					mu.Unlock()
-					cancel()
-				}
-			}()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-solveCtx.Done():
-				mu.Lock()
-				res.Instances = append(res.Instances, InstanceResult{
-					Partition: pt.Index, Status: sat.Unknown, Cause: sat.CauseCancelled,
-				})
-				mu.Unlock()
-				return
-			}
-			if solveCtx.Err() != nil {
-				mu.Lock()
-				res.Instances = append(res.Instances, InstanceResult{
-					Partition: pt.Index, Status: sat.Unknown, Cause: sat.CauseCancelled,
-				})
-				mu.Unlock()
-				return
-			}
-
-			solver := sat.NewFromFormula(f, opts.solverOptions(pt.Index))
-			sampler := opts.instrument(solver, pt.Index)
-			if opts.CertifyUnsat || opts.KeepProofs {
-				solver.EnableProof()
-			}
-			mu.Lock()
-			live = append(live, solver)
-			mu.Unlock()
-			if memAborted.Load() {
-				solver.InterruptMemory()
-			}
-
-			// Wall-clock budget: a timer interrupt distinguishable from
-			// cancellation by the timedOut flag.
-			var timedOut atomic.Bool
-			if opts.ChunkTimeout > 0 {
-				timer := time.AfterFunc(opts.ChunkTimeout, func() {
-					timedOut.Store(true)
-					solver.Interrupt()
-				})
-				defer timer.Stop()
-			}
-
-			t0 := time.Now()
-			status, err := solver.Solve(pt.Assumptions...)
-			elapsed := time.Since(t0)
-			cause := sat.CauseNone
-			if err == sat.ErrMemBudget {
-				// Memory exhaustion — the solver's own budget or the
-				// external watchdog — is terminal budget exhaustion,
-				// journaled like a conflict-budget give-up.
-				status = sat.Unknown
-				cause = sat.CauseMemory
-			} else if err == sat.ErrInterrupted {
-				status = sat.Unknown
-				// The timer may fire while the solver is being interrupted
-				// for cancellation (sibling SAT win or signal); trusting
-				// timedOut alone would journal the cancelled instance as a
-				// terminal timeout and exclude a still-decidable partition
-				// from every future resume. When the races overlap,
-				// cancelled — the uncommitted verdict — wins.
-				if timedOut.Load() && solveCtx.Err() == nil {
-					cause = sat.CauseTimeout
-				} else {
-					cause = sat.CauseCancelled
-				}
-			} else if status == sat.Unknown {
-				// The solver exhausts MaxConflicts without error: the
-				// conflict budget is the only path here.
-				cause = sat.CauseConflictBudget
-			}
-			if status == sat.Unsat && opts.CertifyUnsat {
-				if cerr := checker.Check(pt.Assumptions, solver.ProofLog()); cerr != nil {
-					mu.Lock()
-					certFailed = true
-					mu.Unlock()
-				}
-			}
-
-			inst := InstanceResult{
-				Partition: pt.Index,
-				Status:    status,
-				Cause:     cause,
-				Time:      elapsed,
-				Stats:     solver.Stats(),
-				Samples:   sampler.Points(),
-			}
-			inst.Hardness = sat.Hardness(inst.Stats.Conflicts, inst.Stats.Progress, elapsed)
-			if status == sat.Unsat && opts.KeepProofs {
-				inst.Proof = solver.ProofLog()
-			}
-			// Commit before acknowledging the verdict in the shared
-			// result, so a crash after this point can only lose work the
-			// journal already holds — never claim work it lost.
-			if cerr := opts.commit(inst, ""); cerr != nil {
-				if errors.Is(cerr, journal.ErrSealed) {
-					// Full disk is not a wrong verdict: degrade loudly to
-					// journal-less operation and keep solving. The journal
-					// rolled the failed record back, so a later resume
-					// re-solves exactly the unjournalled partitions.
-					mu.Lock()
-					if !res.JournalSealed {
-						res.JournalSealed = true
-						res.JournalSealCause = cerr.Error()
-					}
-					mu.Unlock()
-				} else {
-					mu.Lock()
-					if journalErr == nil {
-						journalErr = cerr
-					}
-					mu.Unlock()
-					cancel()
-					return
-				}
-			}
-
-			mu.Lock()
-			res.Instances = append(res.Instances, inst)
-			if status == sat.Sat && res.Status != sat.Sat {
-				res.Status = sat.Sat
-				res.Model = solver.Model()
-				res.Winner = pt.Index
-				mu.Unlock()
-				cancel() // terminate the other instances
-				return
-			}
-			if status == sat.Unknown && res.Status == sat.Unsat {
-				res.Status = sat.Unknown
-			}
-			mu.Unlock()
-		}()
+			r.work(key)
+		}(fmt.Sprintf("w%d", i))
 	}
 	wg.Wait()
-	res.Wall = time.Since(start)
-	res.Certified = opts.CertifyUnsat && !certFailed
-	if panicErr != nil {
-		return nil, panicErr
+	return r.finish(ctx, parts, time.Since(start))
+}
+
+// solveRun is the shared state of one Solve call.
+type solveRun struct {
+	f      *cnf.Formula
+	opts   Options
+	ctx    context.Context
+	cancel context.CancelFunc
+	split  bool
+	parts  map[int]partition.Partition
+	tree   *cubetree.Tree[*slot]
+
+	checker *sat.RUPChecker
+	memCtx  context.Context // cancelled when Options.MemAbort fires
+
+	mu         sync.Mutex
+	res        *Result
+	leaves     map[int][]InstanceResult // per partition, one per decided leaf
+	err        error                    // first fatal failure: ends the run
+	certFailed bool
+}
+
+// slot is the in-process cancellation handle of one assignment: the
+// solver to interrupt once it exists. An interrupt that lands before
+// the solver does is applied on attach.
+type slot struct {
+	mu     sync.Mutex
+	solver *sat.Solver
+	stop   bool
+}
+
+func (s *slot) interrupt() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stop = true
+	if s.solver != nil {
+		s.solver.Interrupt()
 	}
-	if journalErr != nil {
-		return nil, fmt.Errorf("parallel: journal commit failed: %w", journalErr)
+}
+
+func (s *slot) attach(solver *sat.Solver) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.solver = solver
+	if s.stop {
+		solver.Interrupt()
 	}
-	if certFailed {
+}
+
+// resume folds the replayed tree into the run: leaves whose committed
+// record still binds become resumed results, the rest are queued.
+func (r *solveRun) resume(rep cubetree.Replayed) error {
+	r.res.MaxCubeDepth = rep.MaxDepth
+	for _, l := range rep.Leaves {
+		idx := l.Cube.From
+		if l.Record == nil || !r.opts.replayable(*l.Record, idx) {
+			r.tree.Enqueue(l.Cube)
+			continue
+		}
+		inst := resumedInstance(idx, *l.Record)
+		r.leaves[idx] = append(r.leaves[idx], inst)
+		r.res.Resumed++
+		if inst.Status != sat.Sat || r.res.Status == sat.Sat {
+			continue
+		}
+		// Re-derive the model now so the resumed run still produces a
+		// decodable counterexample. Refusing a disagreeing journal beats
+		// silently reporting UNSAT over a durably recorded
+		// counterexample.
+		assume, err := r.assumptions(l.Cube)
+		if err != nil {
+			return err
+		}
+		model, err := r.opts.rederive(r.f, idx, assume)
+		if err != nil {
+			return fmt.Errorf("%w; refusing to resume against a disagreeing journal", err)
+		}
+		r.res.Status = sat.Sat
+		r.res.Model = model
+		r.res.Winner = idx
+	}
+	return nil
+}
+
+// assumptions is a cube's full assumption set.
+func (r *solveRun) assumptions(c partition.Cube) ([]cnf.Lit, error) {
+	out, err := partition.CubeAssumptions(r.parts[c.From].Assumptions, c.Path, r.opts.SplitLits)
+	if err != nil {
+		return nil, fmt.Errorf("parallel: %w", err)
+	}
+	return out, nil
+}
+
+// work is one worker goroutine: it drains the tree until nothing is
+// outstanding or the run is cancelled, blocking on tree events (and on
+// the next split deadline, when one exists) while idle.
+func (r *solveRun) work(key string) {
+	for r.ctx.Err() == nil {
+		h := &slot{}
+		n := r.tree.Acquire(key, h, time.Now())
+		switch {
+		case n.Run != nil:
+			r.solve(n.Run)
+		case n.Victim != nil:
+			if a := r.splitCube(n.Victim, key, h); a != nil {
+				r.solve(a)
+			}
+		case n.Done:
+			return
+		default:
+			cubetree.Wait(n, r.ctx.Done())
+		}
+	}
+}
+
+// splitCube commits the SPLIT record for a reserved victim, then swaps
+// the cube for its children and returns the one this worker steals.
+// The tree interrupts the victim's solver; its result loses the claim.
+func (r *solveRun) splitCube(v *cubetree.Assignment[*slot], key string, h *slot) *cubetree.Assignment[*slot] {
+	if r.opts.Journal != nil {
+		err := r.opts.Journal.Commit(journal.ChunkRecord{
+			From: v.Cube.From, To: v.Cube.To, Path: v.Cube.Path,
+			Verdict: journal.VerdictSplit,
+		})
+		if !r.journaled(err) {
+			r.tree.AbortSplit(v)
+			return nil
+		}
+	}
+	return r.tree.CompleteSplit(v, key, h, time.Now())
+}
+
+// solve runs one assignment and, if it wins the claim, certifies,
+// commits and records its result.
+func (r *solveRun) solve(a *cubetree.Assignment[*slot]) {
+	idx := a.Cube.From
+	// A panicking solver instance must not take the process down with
+	// it: the panic becomes the run's error and cancels the siblings,
+	// so callers (and distributed workers in particular) see a
+	// structured failure for one poison partition instead of a crash.
+	defer func() {
+		if p := recover(); p != nil {
+			r.fail(fmt.Errorf("parallel: partition %d solver panicked: %v", idx, p))
+		}
+	}()
+	assume, err := r.assumptions(a.Cube)
+	if err != nil {
+		r.fail(err)
+		return
+	}
+	var note func(sat.Stats)
+	if r.split {
+		note = func(st sat.Stats) {
+			r.tree.Note(a, sat.Hardness(st.Conflicts, st.Progress, time.Since(a.Started)))
+		}
+	}
+	solver, sampler := r.opts.newInstance(r.f, idx, note)
+	a.Handle.attach(solver)
+	defer context.AfterFunc(r.memCtx, solver.InterruptMemory)()
+	t0 := time.Now()
+	status, cause := solver.SolveCtx(r.ctx, r.opts.ChunkTimeout, assume...)
+	elapsed := time.Since(t0)
+	if !r.tree.Claim(a) {
+		return // superseded: the cube was split while it ran
+	}
+	if status == sat.Unsat && r.opts.CertifyUnsat {
+		if cerr := r.checker.Check(assume, solver.ProofLog()); cerr != nil {
+			r.mu.Lock()
+			r.certFailed = true
+			r.mu.Unlock()
+		}
+	}
+	inst := r.opts.instance(idx, solver, sampler, status, cause, elapsed)
+	// Commit before acknowledging the verdict in the shared result, so
+	// a crash after this point can only lose work the journal already
+	// holds — never claim work it lost.
+	if !r.journaled(r.opts.commit(inst, a.Cube.Path)) {
+		return
+	}
+	r.mu.Lock()
+	r.leaves[idx] = append(r.leaves[idx], inst)
+	won := status == sat.Sat && r.res.Status != sat.Sat
+	if won {
+		r.res.Status = sat.Sat
+		r.res.Model = solver.Model()
+		r.res.Winner = idx
+	}
+	r.mu.Unlock()
+	if won {
+		r.cancel() // terminate the other instances
+	}
+}
+
+// journaled absorbs a commit error. A sealed journal (disk full, I/O
+// error) is not a wrong verdict: the run degrades loudly to
+// journal-less operation — the journal rolled the failed record back,
+// so a later resume re-solves exactly the unjournalled cubes. Any
+// other failure ends the run.
+func (r *solveRun) journaled(err error) bool {
+	if err == nil {
+		return true
+	}
+	if errors.Is(err, journal.ErrSealed) {
+		r.mu.Lock()
+		if !r.res.JournalSealed {
+			r.res.JournalSealed = true
+			r.res.JournalSealCause = err.Error()
+		}
+		r.mu.Unlock()
+		return true
+	}
+	r.fail(fmt.Errorf("parallel: journal commit failed: %w", err))
+	return false
+}
+
+// fail records the run's first fatal error and cancels it.
+func (r *solveRun) fail(err error) {
+	r.mu.Lock()
+	if r.err == nil {
+		r.err = err
+	}
+	r.mu.Unlock()
+	r.cancel()
+}
+
+// finish folds every partition's leaves into the result once the
+// workers are gone.
+func (r *solveRun) finish(ctx context.Context, parts []partition.Partition, wall time.Duration) (*Result, error) {
+	// Whatever is still queued was never started and reports cancelled.
+	for _, c := range r.tree.Drain() {
+		r.leaves[c.From] = append(r.leaves[c.From], InstanceResult{
+			Partition: c.From, Status: sat.Unknown, Cause: sat.CauseCancelled,
+		})
+	}
+	res := r.res
+	for _, pt := range parts {
+		if leaves := r.leaves[pt.Index]; len(leaves) > 0 {
+			inst := rootResult(pt.Index, leaves)
+			res.Instances = append(res.Instances, inst)
+			if inst.Status == sat.Unknown && res.Status == sat.Unsat {
+				res.Status = sat.Unknown
+			}
+		}
+	}
+	st := r.tree.Stats()
+	res.Splits = st.Splits
+	res.MaxCubeDepth = max(res.MaxCubeDepth, st.MaxDepth)
+	res.Wall = wall
+	res.Certified = r.opts.CertifyUnsat && !r.certFailed
+	if r.err != nil {
+		return nil, r.err
+	}
+	if r.certFailed {
 		return nil, fmt.Errorf("parallel: an UNSAT refutation proof failed to check")
 	}
-	if res.Status == sat.Sat {
-		// A winning SAT result outranks cancelled siblings.
-		return res, nil
-	}
-	if err := ctx.Err(); err != nil {
+	if res.Status != sat.Sat && ctx.Err() != nil {
+		// A winning SAT result outranks cancelled siblings; anything
+		// else cut short by the caller is Unknown.
 		res.Status = sat.Unknown
-		return res, nil
 	}
 	return res, nil
+}
+
+// rootResult merges one partition's leaf results into the
+// per-partition InstanceResult callers expect: the verdict by the
+// cube-tree fold, stats and times summed, hardness the hardest leaf,
+// Resumed only when every leaf replayed from the journal. A partition
+// solved whole keeps its refutation proof.
+func rootResult(idx int, leaves []InstanceResult) InstanceResult {
+	out := InstanceResult{Partition: idx, Cubes: len(leaves), Resumed: true}
+	v := cubetree.Refuted
+	for _, l := range leaves {
+		v = cubetree.Fold(v, cubetree.Outcome{Status: l.Status, Cause: l.Cause})
+		out.Time += l.Time
+		out.Stats.Add(l.Stats)
+		out.Hardness = max(out.Hardness, l.Hardness)
+		if out.Samples == nil {
+			out.Samples = l.Samples
+		}
+		out.Resumed = out.Resumed && l.Resumed
+	}
+	out.Status, out.Cause = v.Status, v.Cause
+	if len(leaves) == 1 {
+		out.Proof = leaves[0].Proof
+	}
+	return out
 }
 
 func statusFromString(s string) sat.Status {

@@ -10,6 +10,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cnf"
 	"repro/internal/vc"
@@ -221,9 +222,11 @@ func SplitLits(enc *vc.Encoded, parts int) []cnf.Lit {
 	return out
 }
 
-// PathAssumptions maps a cube path to its unit assumption literals over
-// the canonical SplitLits sequence ('1' keeps the literal, '0' negates).
-func PathAssumptions(path string, lits []cnf.Lit) ([]cnf.Lit, error) {
+// CubeAssumptions extends a partition's assumptions with one unit
+// literal per cube-path bit over the canonical SplitLits sequence ('1'
+// keeps the literal, '0' negates): the full assumption set of the
+// sub-cube. An empty path returns base itself.
+func CubeAssumptions(base []cnf.Lit, path string, lits []cnf.Lit) ([]cnf.Lit, error) {
 	if err := ParsePath(path); err != nil {
 		return nil, err
 	}
@@ -231,13 +234,16 @@ func PathAssumptions(path string, lits []cnf.Lit) ([]cnf.Lit, error) {
 		return nil, fmt.Errorf("partition: cube path depth %d exceeds %d available split bits",
 			len(path), len(lits))
 	}
-	out := make([]cnf.Lit, len(path))
+	if path == "" {
+		return base, nil
+	}
+	out := slices.Clip(base)
 	for i := 0; i < len(path); i++ {
 		l := lits[i]
 		if path[i] == '0' {
 			l = l.Not()
 		}
-		out[i] = l
+		out = append(out, l)
 	}
 	return out, nil
 }

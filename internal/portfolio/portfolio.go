@@ -17,7 +17,6 @@ package portfolio
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cnf"
@@ -178,20 +177,8 @@ func Solve(ctx context.Context, f *cnf.Formula, opts Options) (*Result, error) {
 
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	solvers := make([]*sat.Solver, cores)
-
 	solveCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	go func() {
-		<-solveCtx.Done()
-		mu.Lock()
-		for _, s := range solvers {
-			if s != nil {
-				s.Interrupt()
-			}
-		}
-		mu.Unlock()
-	}()
 
 	for i := 0; i < cores; i++ {
 		i := i
@@ -222,39 +209,8 @@ func Solve(ctx context.Context, f *cnf.Formula, opts Options) (*Result, error) {
 				out, pos = sharedPool.drain(pos)
 				return out
 			}
-			mu.Lock()
-			solvers[i] = s
-			mu.Unlock()
-
-			// Wall-clock budget: a timer interrupt distinguishable from
-			// cancellation (sibling won, context done) by the flag.
-			var timedOut atomic.Bool
-			if opts.InstanceTimeout > 0 {
-				timer := time.AfterFunc(opts.InstanceTimeout, func() {
-					timedOut.Store(true)
-					s.Interrupt()
-				})
-				defer timer.Stop()
-			}
-
-			status, err := s.Solve()
-			cause := sat.CauseNone
-			if err == sat.ErrMemBudget {
-				status = sat.Unknown
-				cause = sat.CauseMemory
-			} else if err == sat.ErrInterrupted {
-				status = sat.Unknown
-				// As in parallel.Solve: when the timer races the
-				// cancellation interrupt, report cancelled — the verdict
-				// that does not claim a budget was genuinely exhausted.
-				if timedOut.Load() && solveCtx.Err() == nil {
-					cause = sat.CauseTimeout
-				} else {
-					cause = sat.CauseCancelled
-				}
-			} else if status == sat.Unknown {
-				cause = sat.CauseConflictBudget
-			}
+			// The first verdict cancels solveCtx, interrupting the rest.
+			status, cause := s.SolveCtx(solveCtx, opts.InstanceTimeout)
 			mu.Lock()
 			res.Stats[i] = s.Stats()
 			res.Causes[i] = cause

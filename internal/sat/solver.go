@@ -9,9 +9,11 @@
 package sat
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/cnf"
 )
@@ -52,10 +54,10 @@ var ErrMemBudget = errors.New("sat: memory budget exhausted")
 
 // StopCause classifies why a solve ended Unknown, so callers can tell a
 // run that was cancelled (sibling found SAT, context done) from one
-// that exhausted a per-chunk resource budget. The layers above the
-// solver assign the cause: the solver itself only distinguishes
-// interruption (ErrInterrupted) from conflict-budget exhaustion
-// (Unknown with nil error under MaxConflicts).
+// that exhausted a per-chunk resource budget. SolveCtx assigns the
+// cause: Solve itself only distinguishes interruption (ErrInterrupted,
+// ErrMemBudget) from conflict-budget exhaustion (Unknown with nil error
+// under MaxConflicts).
 type StopCause int
 
 const (
@@ -113,6 +115,31 @@ func ParseStopCause(s string) StopCause {
 // under the current budgets" and "this chunk simply was not finished".
 func (c StopCause) Budgeted() bool {
 	return c == CauseTimeout || c == CauseConflictBudget || c == CauseMemory
+}
+
+// Merge returns the more severe of two causes, in the one order every
+// layer reports by: memory > timeout > conflict-budget > cancelled >
+// none. Memory dominates so the coordinator's memory retry policy sees
+// it; a run that hit the wall clock anywhere is wall-clock bound.
+func (c StopCause) Merge(d StopCause) StopCause {
+	if d.severity() > c.severity() {
+		return d
+	}
+	return c
+}
+
+func (c StopCause) severity() int {
+	switch c {
+	case CauseMemory:
+		return 4
+	case CauseTimeout:
+		return 3
+	case CauseConflictBudget:
+		return 2
+	case CauseCancelled:
+		return 1
+	}
+	return 0
 }
 
 // Stats collects search statistics. The decision/depth/backjump counters
@@ -1082,6 +1109,39 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
 			}
 		}
 	}
+}
+
+// SolveCtx is Solve under ctx and an optional wall-clock budget
+// (timeout 0: none), classified by the one StopCause mapping every
+// layer reports. Cancelling ctx interrupts the search. Memory
+// exhaustion — the solver's own budget or InterruptMemory — is
+// CauseMemory. An interrupt is CauseTimeout only if the budget expired
+// while ctx was live: when the timer races a cancellation, cancelled —
+// the verdict that claims no budget was exhausted — wins. An Unknown
+// without error is the exhausted conflict budget.
+func (s *Solver) SolveCtx(ctx context.Context, timeout time.Duration, assumptions ...cnf.Lit) (Status, StopCause) {
+	defer context.AfterFunc(ctx, s.Interrupt)()
+	var timedOut atomic.Bool
+	if timeout > 0 {
+		timer := time.AfterFunc(timeout, func() {
+			timedOut.Store(true)
+			s.Interrupt()
+		})
+		defer timer.Stop()
+	}
+	status, err := s.Solve(assumptions...)
+	switch {
+	case errors.Is(err, ErrMemBudget):
+		return Unknown, CauseMemory
+	case errors.Is(err, ErrInterrupted):
+		if timedOut.Load() && ctx.Err() == nil {
+			return Unknown, CauseTimeout
+		}
+		return Unknown, CauseCancelled
+	case status == Unknown:
+		return Unknown, CauseConflictBudget
+	}
+	return status, CauseNone
 }
 
 // addImported adds a foreign (shared) clause at level 0.
