@@ -3,6 +3,7 @@ package sat
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestProgressCallback(t *testing.T) {
@@ -128,33 +129,36 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
-// BenchmarkSolve measures the CDCL search with the observability hook
-// in its disabled (nil) state — the fast path every non-instrumented
-// run takes. Compare against BenchmarkSolveProgress to see the cost of
-// an armed hook; the nil path must be indistinguishable from the
-// pre-hook solver.
-func BenchmarkSolve(b *testing.B) {
-	f := pigeonhole(7)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := NewFromFormula(f, Options{})
-		if st, err := s.Solve(); err != nil || st != Unsat {
-			b.Fatalf("status %v err %v", st, err)
-		}
-	}
-}
+// BenchmarkSolve solves the UNSAT eliminationstack fixture from scratch
+// with the observability hook in its disabled (nil) state — the fast
+// path every non-instrumented run takes, and the CDCL kernel
+// (propagate, analyze, reduceDB) end to end on a real BMC formula.
+// Compare against BenchmarkSolveProgress to see the cost of an armed
+// hook; the nil path must be indistinguishable from the pre-hook solver.
+func BenchmarkSolve(b *testing.B) { benchSolveFixture(b, 0) }
 
 // BenchmarkSolveProgress is the same search with a live progress hook
 // firing every 100 conflicts.
-func BenchmarkSolveProgress(b *testing.B) {
-	f := pigeonhole(7)
+func BenchmarkSolveProgress(b *testing.B) { benchSolveFixture(b, 100) }
+
+func benchSolveFixture(b *testing.B, progressEvery int64) {
+	f := loadFixture(b, fixtures[0].file)
 	b.ReportAllocs()
+	b.ResetTimer()
+	var props int64
+	var busy time.Duration
 	for i := 0; i < b.N; i++ {
-		s := NewFromFormula(f, Options{ProgressEvery: 100})
+		start := time.Now()
+		s := NewFromFormula(f, Options{ProgressEvery: progressEvery})
 		var fired int64
-		s.Progress = func(st Stats) { fired++ }
+		if progressEvery > 0 {
+			s.Progress = func(st Stats) { fired++ }
+		}
 		if st, err := s.Solve(); err != nil || st != Unsat {
 			b.Fatalf("status %v err %v", st, err)
 		}
+		busy += time.Since(start)
+		props += s.Stats().Propagations
 	}
+	b.ReportMetric(float64(props)/busy.Seconds(), "props/s")
 }

@@ -11,6 +11,7 @@ package sat
 import (
 	"context"
 	"errors"
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -286,31 +287,68 @@ func (o *Options) setDefaults() {
 	}
 }
 
-type clause struct {
-	lits   []cnf.Lit
-	act    float64
-	lbd    int
-	learnt bool
-}
+// cref is a clause reference: the offset of the clause's header word in
+// the solver's clause arena.
+type cref uint32
 
+const crefUndef cref = math.MaxUint32
+
+// Clause arena layout (MiniSat 2.2's). All clauses live back to back in
+// one []uint32. A clause at ref c occupies
+//
+//	ca[c]                    header: size<<2 | learnt<<1 | deleted
+//	ca[c+1 : c+1+size]       literals, as uint32(cnf.Lit)
+//
+// and a learnt clause three more words after its literals:
+//
+//	ca[c+1+size]             LBD
+//	ca[c+2+size : c+4+size]  activity, float64 bits, low word first
+//
+// Only learnt clauses are ranked by reduceDB, so only they carry (and
+// bump) an activity. Deleted clauses stay in place, counted in wasted,
+// until reduceDB compacts the arena.
+const (
+	hdrDeleted   = 1
+	hdrLearnt    = 2
+	hdrSizeShift = 2
+	learntExtra  = 3
+
+	// maxClauseSize is what the header's size field holds; maxArena
+	// keeps every clause ref below crefUndef.
+	maxClauseSize = 1<<(32-hdrSizeShift) - 1
+	maxArena      = uint64(crefUndef)
+	// maxVar is the largest variable whose literals fit a uint32.
+	maxVar = math.MaxUint32 >> 1
+)
+
+// ErrTooLarge is returned by Solve when the clause set does not fit the
+// solver's 32-bit layout: a variable above 2^31-1, whose literal does
+// not fit a uint32, or a clause arena beyond 2^32 words. The clauses
+// or assumptions concerned are rejected, not added; SolveCtx reports
+// the stop as CauseMemory, a terminal resource exhaustion.
+var ErrTooLarge = errors.New("sat: formula exceeds the solver's 32-bit literal or clause-arena limit")
+
+// watcher is one entry of a watch list: the clause and a blocker, a
+// literal of the clause whose truth lets propagation skip the visit.
 type watcher struct {
-	c       *clause
-	blocker cnf.Lit
+	cref    cref
+	blocker uint32
 }
 
 // Approximate per-object byte costs for the live-footprint accounting.
-// They deliberately over-count a little (slice headers, the two watcher
-// entries, allocator slack) so the budget errs on the safe side; the
-// goal is a stable, deterministic estimate that tracks the real heap
-// within tens of percent, not malloc-exact numbers.
+// They deliberately over-count (allocator slack, watch-list growth) so
+// the budget errs on the safe side; the goal is a stable, deterministic
+// estimate, not malloc-exact numbers. They were sized for a layout of
+// one heap object per clause and 8-byte literals, which the arena
+// undercuts; they stay as they are so that every MemBudgetMB threshold
+// keeps its meaning.
 const (
-	litBytes = 8 // cnf.Lit is an int
-	// clauseOverheadBytes: the clause struct (slice header + act + lbd +
-	// learnt, padded), its pointer slot in clauses/learnts, and its two
-	// watcher entries.
+	litBytes = 8
+	// clauseOverheadBytes: a clause's header and slot in clauses or
+	// learnts, its two watcher entries, and per-clause slack.
 	clauseOverheadBytes = 120
 	// varOverheadBytes: per-variable state across watches (two slice
-	// headers), assigns/level/reason/polarity/frozen/activity/seen, the
+	// headers), values/level/reason/polarity/frozen/activity/seen, the
 	// heap entry, and amortised trail capacity.
 	varOverheadBytes = 128
 )
@@ -331,16 +369,19 @@ type Solver struct {
 	opts Options
 
 	numVars int
-	ok      bool // false once the clause set is known inconsistent
+	ok      bool  // false once the clause set is known inconsistent
+	err     error // ErrTooLarge once a clause or variable was rejected
 
-	clauses []*clause
-	learnts []*clause
+	ca      []uint32 // clause arena (see cref)
+	wasted  int      // arena words held by deleted clauses
+	clauses []cref
+	learnts []cref
 
-	watches [][]watcher // indexed by Lit.Index()
+	watches [][]watcher // indexed by cnf.Lit
 
-	assigns  []int8 // per variable: lTrue/lFalse/lUndef
+	vals     []int8 // per literal: lTrue/lFalse/lUndef
 	level    []int
-	reason   []*clause
+	reason   []cref
 	polarity []bool // saved phase per variable
 	frozen   []bool // assumption-frozen variables (paper Sect. 3.3)
 
@@ -348,12 +389,19 @@ type Solver struct {
 	trailLim []int
 	qhead    int
 
-	activity  []float64
-	varInc    float64
-	claInc    float64
-	order     varHeap
+	activity []float64
+	varInc   float64
+	claInc   float64
+	order    varHeap
+
+	// Scratch buffers, reused across calls.
 	seen      []byte
-	analyzeTs []cnf.Lit // scratch for minimisation
+	analyzeTs []cnf.Lit  // literals marked seen by minimisation
+	learntBuf []cnf.Lit  // the clause analyze returns
+	redStack  []cnf.Lit  // litRedundant's walk
+	addBuf    cnf.Clause // AddClause's normalisation
+	lbdStamp  []uint64   // per decision level: lbdGen of its last count
+	lbdGen    uint64
 
 	model []int8 // last satisfying assignment (per variable)
 
@@ -415,13 +463,17 @@ func NewFromFormula(f *cnf.Formula, opts Options) *Solver {
 	return s
 }
 
-func (s *Solver) growTo(n int) {
+// growTo extends the variable set to n. A variable beyond maxVar is
+// refused, and the solver remembers ErrTooLarge.
+func (s *Solver) growTo(n int) bool {
+	if n > maxVar {
+		s.err = ErrTooLarge
+		return false
+	}
 	for s.numVars < n {
 		s.numVars++
-		s.watches = append(s.watches, nil, nil)
-		s.assigns = append(s.assigns, lUndef)
 		s.level = append(s.level, 0)
-		s.reason = append(s.reason, nil)
+		s.reason = append(s.reason, crefUndef)
 		s.polarity = append(s.polarity, s.opts.InitialPolarity)
 		s.frozen = append(s.frozen, false)
 		s.activity = append(s.activity, 0)
@@ -429,10 +481,16 @@ func (s *Solver) growTo(n int) {
 		s.order.push(cnf.Var(s.numVars), &s.activity)
 		s.addMem(varOverheadBytes)
 	}
-	// watches is indexed by Lit.Index() which starts at 2 for variable 1.
+	// Literal-indexed arrays start at 2 for variable 1; decision levels
+	// run from 0 to numVars.
 	for len(s.watches) < 2*(s.numVars+1) {
 		s.watches = append(s.watches, nil)
+		s.vals = append(s.vals, lUndef)
 	}
+	for len(s.lbdStamp) < s.numVars+1 {
+		s.lbdStamp = append(s.lbdStamp, 0)
+	}
+	return true
 }
 
 // NumVars returns the number of variables known to the solver.
@@ -514,36 +572,85 @@ func (s *Solver) addMem(n int64) {
 	}
 }
 
-func (s *Solver) valueVar(v cnf.Var) int8 { return s.assigns[v-1] }
+func (s *Solver) valueVar(v cnf.Var) int8 { return s.vals[cnf.PosLit(v)] }
 
-func (s *Solver) valueLit(l cnf.Lit) int8 {
-	val := s.assigns[l.Var()-1]
-	if l.Neg() {
-		return -val
-	}
-	return val
-}
+func (s *Solver) valueLit(l cnf.Lit) int8 { return s.vals[l] }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
+
+// lits returns the literals of clause c, aliasing the arena.
+func (s *Solver) lits(c cref) []uint32 {
+	return s.ca[c+1 : c+1+cref(s.ca[c]>>hdrSizeShift)]
+}
+
+func (s *Solver) isLearnt(c cref) bool { return s.ca[c]&hdrLearnt != 0 }
+
+// extra returns the index of learnt clause c's LBD word; its activity
+// follows.
+func (s *Solver) extra(c cref) cref { return c + 1 + cref(s.ca[c]>>hdrSizeShift) }
+
+func (s *Solver) clauseLBD(c cref) int { return int(s.ca[s.extra(c)]) }
+
+func (s *Solver) clauseAct(c cref) float64 {
+	i := s.extra(c) + 1
+	return math.Float64frombits(uint64(s.ca[i]) | uint64(s.ca[i+1])<<32)
+}
+
+func (s *Solver) setClauseAct(c cref, act float64) {
+	i, bits := s.extra(c)+1, math.Float64bits(act)
+	s.ca[i], s.ca[i+1] = uint32(bits), uint32(bits>>32)
+}
+
+// clauseWords is the number of arena words of the clause with header hdr.
+func clauseWords(hdr uint32) int {
+	n := 1 + int(hdr>>hdrSizeShift)
+	if hdr&hdrLearnt != 0 {
+		n += learntExtra
+	}
+	return n
+}
+
+// alloc appends a clause of two or more literals to the arena. A clause
+// that would not fit the 32-bit layout is refused with ErrTooLarge.
+func (s *Solver) alloc(lits []cnf.Lit, learnt bool, lbd int) (cref, bool) {
+	hdr := uint32(len(lits)) << hdrSizeShift
+	if learnt {
+		hdr |= hdrLearnt
+	}
+	if len(lits) > maxClauseSize || uint64(len(s.ca)+clauseWords(hdr)) > maxArena {
+		s.err = ErrTooLarge
+		return crefUndef, false
+	}
+	c := cref(len(s.ca))
+	s.ca = append(s.ca, hdr)
+	for _, l := range lits {
+		s.ca = append(s.ca, uint32(l))
+	}
+	if learnt {
+		s.ca = append(s.ca, uint32(lbd), 0, 0)
+	}
+	return c, true
+}
 
 // AddClause introduces a clause over 1-based variables, growing the
 // variable set as needed. It may only be called before Solve or between
 // Solve calls (at decision level 0). It returns false if the clause set
-// became trivially inconsistent.
+// became trivially inconsistent, or if the clause was refused as too
+// large for the solver (Solve then reports ErrTooLarge).
 func (s *Solver) AddClause(lits ...cnf.Lit) bool {
-	if !s.ok {
+	if !s.ok || s.err != nil {
 		return false
 	}
 	if s.decisionLevel() != 0 {
 		panic("sat: AddClause above decision level 0")
 	}
 	for _, l := range lits {
-		if int(l.Var()) > s.numVars {
-			s.growTo(int(l.Var()))
+		if int(l.Var()) > s.numVars && !s.growTo(int(l.Var())) {
+			return false
 		}
 	}
-	c := append(cnf.Clause{}, lits...)
-	c, taut := c.Normalize()
+	s.addBuf = append(s.addBuf[:0], lits...)
+	c, taut := s.addBuf.Normalize()
 	if taut {
 		return true
 	}
@@ -563,71 +670,78 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(c[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(c[0], crefUndef)
+		if s.propagate() != crefUndef {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	cl := &clause{lits: c}
-	s.clauses = append(s.clauses, cl)
-	s.attach(cl)
+	cr, ok := s.alloc(c, false, 0)
+	if !ok {
+		return false
+	}
+	s.clauses = append(s.clauses, cr)
+	s.attach(cr)
 	s.addMem(clauseBytes(len(c)))
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	l0, l1 := c.lits[0], c.lits[1]
-	s.watches[l0.Not().Index()] = append(s.watches[l0.Not().Index()], watcher{c, l1})
-	s.watches[l1.Not().Index()] = append(s.watches[l1.Not().Index()], watcher{c, l0})
+func (s *Solver) attach(c cref) {
+	lits := s.lits(c)
+	l0, l1 := lits[0], lits[1]
+	s.watches[l0^1] = append(s.watches[l0^1], watcher{c, l1})
+	s.watches[l1^1] = append(s.watches[l1^1], watcher{c, l0})
 }
 
-func (s *Solver) uncheckedEnqueue(l cnf.Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l cnf.Lit, from cref) {
+	s.vals[l] = lTrue
+	s.vals[l^1] = lFalse
 	v := l.Var()
-	if l.Neg() {
-		s.assigns[v-1] = lFalse
-	} else {
-		s.assigns[v-1] = lTrue
-	}
 	s.level[v-1] = s.decisionLevel()
 	s.reason[v-1] = from
 	s.trail = append(s.trail, l)
 }
 
 // propagate performs unit propagation; it returns the conflicting clause
-// or nil.
-func (s *Solver) propagate() *clause {
+// or crefUndef.
+func (s *Solver) propagate() cref {
+	// Propagation moves literals inside clauses but never allocates one,
+	// so the arena and value slices stay put for the whole call.
+	ca, vals := s.ca, s.vals
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.stats.Propagations++
-		ws := s.watches[p.Index()]
-		n := 0
+		falseLit := uint32(p) ^ 1
+		ws := s.watches[p]
+		i, n := 0, 0
 	nextWatcher:
-		for i := 0; i < len(ws); i++ {
+		for i < len(ws) {
 			w := ws[i]
-			if s.valueLit(w.blocker) == lTrue {
+			i++
+			if vals[w.blocker] == lTrue {
 				ws[n] = w
 				n++
 				continue
 			}
-			c := w.c
+			c := w.cref
+			lits := ca[c+1 : c+1+cref(ca[c]>>hdrSizeShift)]
 			// Ensure the false literal is at position 1.
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.valueLit(first) == lTrue {
+			first := lits[0]
+			if first != w.blocker && vals[first] == lTrue {
 				ws[n] = watcher{c, first}
 				n++
 				continue
 			}
 			// Look for a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.valueLit(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					idx := c.lits[1].Not().Index()
+			for k := 2; k < len(lits); k++ {
+				if vals[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					idx := lits[1] ^ 1
 					s.watches[idx] = append(s.watches[idx], watcher{c, first})
 					continue nextWatcher
 				}
@@ -635,21 +749,18 @@ func (s *Solver) propagate() *clause {
 			// Clause is unit or conflicting.
 			ws[n] = watcher{c, first}
 			n++
-			if s.valueLit(first) == lFalse {
-				// Conflict: copy back remaining watchers and bail out.
-				for i++; i < len(ws); i++ {
-					ws[n] = ws[i]
-					n++
-				}
-				s.watches[p.Index()] = ws[:n]
+			if vals[first] == lFalse {
+				// Conflict: keep the unvisited watchers and bail out.
+				n += copy(ws[n:], ws[i:])
+				s.watches[p] = ws[:n]
 				s.qhead = len(s.trail)
 				return c
 			}
-			s.uncheckedEnqueue(first, c)
+			s.uncheckedEnqueue(cnf.Lit(first), c)
 		}
-		s.watches[p.Index()] = ws[:n]
+		s.watches[p] = ws[:n]
 	}
-	return nil
+	return crefUndef
 }
 
 func (s *Solver) newDecisionLevel() {
@@ -667,8 +778,9 @@ func (s *Solver) cancelUntil(lvl int) {
 		if !s.opts.NoPhaseSaving {
 			s.polarity[v-1] = !l.Neg()
 		}
-		s.assigns[v-1] = lUndef
-		s.reason[v-1] = nil
+		s.vals[l] = lUndef
+		s.vals[l^1] = lUndef
+		s.reason[v-1] = crefUndef
 		s.order.insert(v, &s.activity)
 	}
 	s.trail = s.trail[:bound]
@@ -689,11 +801,20 @@ func (s *Solver) bumpVar(v cnf.Var) {
 
 func (s *Solver) decayVar() { s.varInc /= s.opts.VarDecay }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e20 {
-		for _, cl := range s.learnts {
-			cl.act *= 1e-20
+// bumpClause raises a learnt clause's activity. Original clauses are
+// never ranked, so they carry no activity and are left alone, as in
+// MiniSat: bumping them would rescale every learnt clause on each bump
+// once one original clause passed the rescale threshold, driving claInc
+// and all learnt activities to zero.
+func (s *Solver) bumpClause(c cref) {
+	if !s.isLearnt(c) {
+		return
+	}
+	act := s.clauseAct(c) + s.claInc
+	s.setClauseAct(c, act)
+	if act > 1e20 {
+		for _, l := range s.learnts {
+			s.setClauseAct(l, s.clauseAct(l)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -737,27 +858,29 @@ func (s *Solver) pickBranchLit() cnf.Lit {
 }
 
 // analyze performs first-UIP conflict analysis and returns the learnt
-// clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int, int) {
-	learnt := []cnf.Lit{cnf.LitUndef}
+// clause (asserting literal first), the backtrack level and the LBD.
+// The clause aliases a scratch buffer that the next call reuses.
+func (s *Solver) analyze(confl cref) ([]cnf.Lit, int, int) {
+	learnt := append(s.learntBuf[:0], cnf.LitUndef)
 	counter := 0
 	p := cnf.LitUndef
 	idx := len(s.trail) - 1
 
 	for {
 		s.bumpClause(confl)
-		for _, q := range confl.lits {
-			if q == p {
+		for _, q := range s.lits(confl) {
+			ql := cnf.Lit(q)
+			if ql == p {
 				continue
 			}
-			v := q.Var()
+			v := ql.Var()
 			if s.seen[v-1] == 0 && s.level[v-1] > 0 {
 				s.seen[v-1] = 1
 				s.bumpVar(v)
 				if s.level[v-1] >= s.decisionLevel() {
 					counter++
 				} else {
-					learnt = append(learnt, q)
+					learnt = append(learnt, ql)
 				}
 			}
 		}
@@ -776,14 +899,15 @@ func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int, int) {
 	learnt[0] = p.Not()
 
 	// Recursive conflict-clause minimisation.
-	s.analyzeTs = s.analyzeTs[:0]
+	s.analyzeTs = append(s.analyzeTs[:0], learnt[1:]...)
+	var levels uint32
 	for _, l := range learnt[1:] {
-		s.analyzeTs = append(s.analyzeTs, l)
+		levels |= s.abstractLevel(l.Var())
 	}
 	out := learnt[:1]
 	removed := 0
 	for _, l := range learnt[1:] {
-		if s.reason[l.Var()-1] == nil || !s.litRedundant(l) {
+		if s.reason[l.Var()-1] == crefUndef || !s.litRedundant(l, levels) {
 			out = append(out, l)
 		} else {
 			removed++
@@ -791,15 +915,14 @@ func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int, int) {
 	}
 	s.stats.Minimised += int64(removed)
 	learnt = out
+	s.learntBuf = learnt
 
 	// Clear seen flags for the surviving and scratch literals.
 	for _, l := range s.analyzeTs {
 		s.seen[l.Var()-1] = 0
 	}
 	for _, l := range learnt {
-		if l != cnf.LitUndef {
-			s.seen[l.Var()-1] = 0
-		}
+		s.seen[l.Var()-1] = 0
 	}
 
 	// Find backtrack level: the maximal level among learnt[1:].
@@ -815,53 +938,67 @@ func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int, int) {
 		btLevel = s.level[learnt[1].Var()-1]
 	}
 
-	// Compute LBD (number of distinct decision levels).
-	lbd := s.computeLBD(learnt)
-	return learnt, btLevel, lbd
+	return learnt, btLevel, s.computeLBD(learnt)
 }
 
+// computeLBD counts the distinct decision levels of lits, stamping each
+// level with a fresh generation instead of building a set.
 func (s *Solver) computeLBD(lits []cnf.Lit) int {
-	levels := map[int]struct{}{}
+	s.lbdGen++
+	n := 0
 	for _, l := range lits {
-		levels[s.level[l.Var()-1]] = struct{}{}
+		lv := s.level[l.Var()-1]
+		if s.lbdStamp[lv] != s.lbdGen {
+			s.lbdStamp[lv] = s.lbdGen
+			n++
+		}
 	}
-	return len(levels)
+	return n
+}
+
+// abstractLevel hashes v's decision level into one of 32 bits, so a set
+// of levels is a bitmask with no false negatives.
+func (s *Solver) abstractLevel(v cnf.Var) uint32 {
+	return 1 << (uint(s.level[v-1]) & 31)
 }
 
 // litRedundant checks whether l is implied by the other literals marked in
-// seen, walking the implication graph (MiniSat's ccmin).
-func (s *Solver) litRedundant(l cnf.Lit) bool {
-	stack := []cnf.Lit{l}
+// seen, walking the implication graph (MiniSat's ccmin). levels is the
+// abstract-level mask of the learnt clause: a literal at a level outside
+// it cannot be implied by the clause, so the walk fails there at once.
+func (s *Solver) litRedundant(l cnf.Lit, levels uint32) bool {
+	stack := append(s.redStack[:0], l)
 	top := len(s.analyzeTs)
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		c := s.reason[p.Var()-1]
-		for _, q := range c.lits {
-			if q == p.Not() || q.Var() == p.Var() {
+		for _, q := range s.lits(s.reason[p.Var()-1]) {
+			ql := cnf.Lit(q)
+			v := ql.Var()
+			if v == p.Var() || s.seen[v-1] != 0 || s.level[v-1] == 0 {
 				continue
 			}
-			v := q.Var()
-			if s.seen[v-1] != 0 || s.level[v-1] == 0 {
-				continue
-			}
-			if s.reason[v-1] == nil {
+			if s.reason[v-1] == crefUndef || s.abstractLevel(v)&levels == 0 {
 				// Not redundant: undo the tentative marks.
-				for len(s.analyzeTs) > top {
-					s.seen[s.analyzeTs[len(s.analyzeTs)-1].Var()-1] = 0
-					s.analyzeTs = s.analyzeTs[:len(s.analyzeTs)-1]
+				for _, m := range s.analyzeTs[top:] {
+					s.seen[m.Var()-1] = 0
 				}
+				s.analyzeTs = s.analyzeTs[:top]
+				s.redStack = stack
 				return false
 			}
 			s.seen[v-1] = 1
-			s.analyzeTs = append(s.analyzeTs, q)
-			stack = append(stack, q)
+			s.analyzeTs = append(s.analyzeTs, ql)
+			stack = append(stack, ql)
 		}
 	}
+	s.redStack = stack
 	return true
 }
 
-func (s *Solver) recordLearnt(lits []cnf.Lit, lbd int) *clause {
+// recordLearnt logs, shares and stores a learnt clause, returning its
+// ref (crefUndef for a unit, or when the arena is full).
+func (s *Solver) recordLearnt(lits []cnf.Lit, lbd int) cref {
 	s.stats.Learnt++
 	s.stats.LearntLits += int64(len(lits))
 	s.stats.LBDHist.Observe(lbd)
@@ -874,9 +1011,12 @@ func (s *Solver) recordLearnt(lits []cnf.Lit, lbd int) *clause {
 		s.ShareLearnt(cp, lbd)
 	}
 	if len(lits) == 1 {
-		return nil
+		return crefUndef
 	}
-	c := &clause{lits: append([]cnf.Lit{}, lits...), learnt: true, lbd: lbd}
+	c, ok := s.alloc(lits, true, lbd)
+	if !ok {
+		return crefUndef
+	}
 	s.learnts = append(s.learnts, c)
 	s.attach(c)
 	s.bumpClause(c)
@@ -891,18 +1031,20 @@ func (s *Solver) reduceDB() {
 	sort.Slice(s.learnts, func(i, j int) bool {
 		// Keep high-activity, low-LBD clauses.
 		a, b := s.learnts[i], s.learnts[j]
-		if (a.lbd <= 2) != (b.lbd <= 2) {
-			return b.lbd <= 2
+		if (s.clauseLBD(a) <= 2) != (s.clauseLBD(b) <= 2) {
+			return s.clauseLBD(b) <= 2
 		}
-		return a.act < b.act
+		return s.clauseAct(a) < s.clauseAct(b)
 	})
 	limit := len(s.learnts) / 2
 	kept := s.learnts[:0]
 	removed := 0
 	for i, c := range s.learnts {
-		if i < limit && len(c.lits) > 2 && !s.isReason(c) {
+		if n := len(s.lits(c)); i < limit && n > 2 && !s.isReason(c) {
 			s.detach(c)
-			s.addMem(-clauseBytes(len(c.lits)))
+			s.ca[c] |= hdrDeleted
+			s.wasted += clauseWords(s.ca[c])
+			s.addMem(-clauseBytes(n))
 			removed++
 		} else {
 			kept = append(kept, c)
@@ -910,6 +1052,44 @@ func (s *Solver) reduceDB() {
 	}
 	s.learnts = kept
 	s.stats.LearntDeleted += int64(removed)
+	if s.wasted*5 > len(s.ca) {
+		s.compact()
+	}
+}
+
+// compact copies the live clauses into a fresh arena, in arena order, and
+// rewrites every ref in place: watch lists and the literals of each
+// clause keep their order, so compaction never changes the search.
+func (s *Solver) compact() {
+	to := make([]uint32, 0, len(s.ca)-s.wasted)
+	for c := 0; c < len(s.ca); {
+		hdr := s.ca[c]
+		n := clauseWords(hdr)
+		if hdr&hdrDeleted == 0 {
+			// The old copy's first literal becomes its forwarding ref.
+			to = append(to, s.ca[c:c+n]...)
+			s.ca[c+1] = uint32(len(to) - n)
+		}
+		c += n
+	}
+	moved := func(c cref) cref { return cref(s.ca[c+1]) }
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].cref = moved(ws[i].cref)
+		}
+	}
+	for i, r := range s.reason {
+		if r != crefUndef {
+			s.reason[i] = moved(r)
+		}
+	}
+	for i, c := range s.clauses {
+		s.clauses[i] = moved(c)
+	}
+	for i, c := range s.learnts {
+		s.learnts[i] = moved(c)
+	}
+	s.ca, s.wasted = to, 0
 }
 
 // overMemBudget reports whether the live footprint exceeds the
@@ -935,19 +1115,18 @@ func (s *Solver) shrinkForMem() bool {
 	return true
 }
 
-func (s *Solver) isReason(c *clause) bool {
-	v := c.lits[0].Var()
-	return s.valueLit(c.lits[0]) == lTrue && s.reason[v-1] == c
+func (s *Solver) isReason(c cref) bool {
+	l := cnf.Lit(s.lits(c)[0])
+	return s.vals[l] == lTrue && s.reason[l.Var()-1] == c
 }
 
-func (s *Solver) detach(c *clause) {
-	for _, l := range []cnf.Lit{c.lits[0], c.lits[1]} {
-		idx := l.Not().Index()
-		ws := s.watches[idx]
+func (s *Solver) detach(c cref) {
+	for _, l := range s.lits(c)[:2] {
+		ws := s.watches[l^1]
 		for i, w := range ws {
-			if w.c == c {
+			if w.cref == c {
 				ws[i] = ws[len(ws)-1]
-				s.watches[idx] = ws[:len(ws)-1]
+				s.watches[l^1] = ws[:len(ws)-1]
 				break
 			}
 		}
@@ -978,7 +1157,7 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 			return Unknown, ErrInterrupted
 		}
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			conflicts++
 			s.stats.Conflicts++
 			if s.Progress != nil && s.opts.ProgressEvery > 0 &&
@@ -1001,6 +1180,10 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 			}
 			s.cancelUntil(btLevel)
 			c := s.recordLearnt(learnt, lbd)
+			if s.err != nil {
+				s.cancelUntil(0)
+				return Unknown, s.err
+			}
 			s.uncheckedEnqueue(learnt[0], c)
 			s.decayVar()
 			s.decayClause()
@@ -1026,7 +1209,10 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 		next := s.pickBranchLit()
 		if next == cnf.LitUndef {
 			// All variables assigned: model found.
-			s.model = append([]int8(nil), s.assigns...)
+			s.model = make([]int8, s.numVars)
+			for v := range s.model {
+				s.model[v] = s.valueVar(cnf.Var(v + 1))
+			}
 			return Sat, nil
 		}
 		s.stats.Decisions++
@@ -1037,7 +1223,7 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 		if s.graph != nil {
 			s.graph.recordDecision(s.decisionLevel(), next)
 		}
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, crefUndef)
 	}
 }
 
@@ -1055,6 +1241,9 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 // different partitions, use a fresh Solver per assumption set, as
 // package parallel does.
 func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
+	if s.err != nil {
+		return Unknown, s.err
+	}
 	if !s.ok {
 		return Unsat, nil
 	}
@@ -1069,8 +1258,8 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
 	}()
 	s.cancelUntil(0)
 	for _, a := range assumptions {
-		if int(a.Var()) > s.numVars {
-			s.growTo(int(a.Var()))
+		if int(a.Var()) > s.numVars && !s.growTo(int(a.Var())) {
+			return Unknown, s.err
 		}
 		switch s.valueLit(a) {
 		case lTrue:
@@ -1079,11 +1268,11 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
 			return Unsat, nil
 		}
 		s.frozen[a.Var()-1] = true
-		s.uncheckedEnqueue(a, nil)
+		s.uncheckedEnqueue(a, crefUndef)
 	}
 	// Forced propagation of the assumption units (paper Sect. 3.3): the
 	// search then starts on an equisatisfiable but pruned formula.
-	if s.propagate() != nil {
+	if s.propagate() != crefUndef {
 		return Unsat, nil
 	}
 
@@ -1103,7 +1292,10 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
 		s.cancelUntil(0)
 		if s.Import != nil {
 			for _, lits := range s.Import() {
-				if !s.addImported(lits) {
+				if !s.AddClause(lits...) {
+					if s.err != nil {
+						return Unknown, s.err
+					}
 					return Unsat, nil
 				}
 			}
@@ -1114,11 +1306,12 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
 // SolveCtx is Solve under ctx and an optional wall-clock budget
 // (timeout 0: none), classified by the one StopCause mapping every
 // layer reports. Cancelling ctx interrupts the search. Memory
-// exhaustion — the solver's own budget or InterruptMemory — is
-// CauseMemory. An interrupt is CauseTimeout only if the budget expired
-// while ctx was live: when the timer races a cancellation, cancelled —
-// the verdict that claims no budget was exhausted — wins. An Unknown
-// without error is the exhausted conflict budget.
+// exhaustion — the solver's own budget, InterruptMemory or a formula
+// too large for the solver (ErrTooLarge) — is CauseMemory. An
+// interrupt is CauseTimeout only if the budget expired while ctx was
+// live: when the timer races a cancellation, cancelled — the verdict
+// that claims no budget was exhausted — wins. An Unknown without error
+// is the exhausted conflict budget.
 func (s *Solver) SolveCtx(ctx context.Context, timeout time.Duration, assumptions ...cnf.Lit) (Status, StopCause) {
 	defer context.AfterFunc(ctx, s.Interrupt)()
 	var timedOut atomic.Bool
@@ -1131,7 +1324,7 @@ func (s *Solver) SolveCtx(ctx context.Context, timeout time.Duration, assumption
 	}
 	status, err := s.Solve(assumptions...)
 	switch {
-	case errors.Is(err, ErrMemBudget):
+	case errors.Is(err, ErrMemBudget), errors.Is(err, ErrTooLarge):
 		return Unknown, CauseMemory
 	case errors.Is(err, ErrInterrupted):
 		if timedOut.Load() && ctx.Err() == nil {
@@ -1142,11 +1335,6 @@ func (s *Solver) SolveCtx(ctx context.Context, timeout time.Duration, assumption
 		return Unknown, CauseConflictBudget
 	}
 	return status, CauseNone
-}
-
-// addImported adds a foreign (shared) clause at level 0.
-func (s *Solver) addImported(lits []cnf.Lit) bool {
-	return s.AddClause(lits...)
 }
 
 // Model returns the satisfying assignment found by the last successful
